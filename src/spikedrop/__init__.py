@@ -6,15 +6,8 @@ predictive distributions on either backend by repeating masked evaluations.
 """
 
 from .convert import SpikingNetwork, convert
-from .data import Dataset, load_csv, save_csv, standardize, synth_combo, train_test_split
-from .mcinfer import (
-    DistributionSummary,
-    SampleSet,
-    predictive_distribution,
-    read_samples,
-    summarize,
-    write_samples,
-)
+from .data import Dataset, load_csv, save_csv, synth_combo, train_test_split
+from .mcinfer import SampleSet, predictive_distribution, read_samples, write_samples
 from .network import (
     DropMasks,
     EncoderSpec,
@@ -32,10 +25,8 @@ from .network import (
     validate,
 )
 from .neuron import (
-    LifState,
     NeuronParams,
     lif_rate,
-    lif_step,
     lif_step_arrays,
     softlif_rate,
     softlif_rate_grad,

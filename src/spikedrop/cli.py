@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,7 +18,23 @@ from . import mcinfer, network, snn, stats, training
 from .convert import convert
 from .neuron import NeuronParams
 
-THREADS_ENV = "SPIKEDROP_THREADS"
+
+def _checked(kind, ok, rule):
+    """An argparse type: ``kind(text)``, refused unless ``ok(value)``, so an
+    out-of-range value is a usage error (exit 2) that names its flag."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
+_NONNEGATIVE_FLOAT = _checked(float, lambda v: v >= 0, ">= 0")
 
 
 def _neuron_params_from_dict(d) -> NeuronParams:
@@ -48,11 +62,11 @@ def _sim_from_args(args) -> snn.SimConfig:
 
 
 def _add_sim_flags(parser):
-    parser.add_argument("--dt", type=float, default=0.001, help="tick length in seconds")
-    parser.add_argument("--steps", type=int, default=1000, help="number of ticks")
-    parser.add_argument("--burnin", type=int, default=200,
+    parser.add_argument("--dt", type=_POSITIVE_FLOAT, default=0.001, help="tick length in seconds")
+    parser.add_argument("--steps", type=_POSITIVE_INT, default=1000, help="number of ticks")
+    parser.add_argument("--burnin", type=_NONNEGATIVE_INT, default=200,
                         help="ticks discarded before averaging the output potential")
-    parser.add_argument("--tausyn", type=float, default=0.005,
+    parser.add_argument("--tausyn", type=_NONNEGATIVE_FLOAT, default=0.005,
                         help="synaptic lowpass time constant in seconds")
     parser.add_argument("--v0-seed", type=int, default=1,
                         help="seed for heterogeneous initial voltages (0 = all-zero start)")
@@ -117,21 +131,15 @@ def cmd_infer(args) -> int:
         )
     sim = _sim_from_args(args)
     n_obs = len(dataset)
-
-    def one_observation(row):
-        return mcinfer.predictive_distribution(
+    sample_sets = [
+        mcinfer.predictive_distribution(
             model.spec, model.weights, model.neuron_params,
             dataset.features[row], n_draws=args.draws,
             base_seed=args.seed + row * args.draws,
             backend=args.backend, sim=sim, observation_id=row,
         )
-
-    threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sample_sets = list(pool.map(one_observation, range(n_obs)))
-    else:
-        sample_sets = [one_observation(row) for row in range(n_obs)]
+        for row in range(n_obs)
+    ]
 
     meta = {
         "backend": args.backend,
@@ -268,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--target", default="target")
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=_POSITIVE_INT, default=150)
+    p.add_argument("--batch", type=_POSITIVE_INT, default=32)
+    p.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--history", default=None,
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", default="target")
     p.add_argument("--backend", choices=mcinfer.BACKENDS, default="analog")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--draws", type=_POSITIVE_INT, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_sim_flags(p)
@@ -309,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "burnin" in vars(args) and args.burnin >= args.steps:
+        parser.error(f"--burnin ({args.burnin}) must be less than --steps ({args.steps})")
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure -> exit 1 with a diagnostic

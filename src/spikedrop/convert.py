@@ -11,14 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .network import (
-    NetworkSpec,
-    WeightStore,
-    spec_from_dict,
-    spec_to_dict,
-    validate,
-    validate_weights,
-)
+from .network import NetworkSpec, WeightStore, validate, validate_weights
 from .neuron import NeuronParams
 
 
@@ -31,13 +24,6 @@ class SpikingNetwork:
     weights: WeightStore
     neuron_params: NeuronParams
 
-    def equal(self, other: "SpikingNetwork") -> bool:
-        return (
-            spec_to_dict(self.spec) == spec_to_dict(other.spec)
-            and self.weights.equal(other.weights)
-            and self.neuron_params == other.neuron_params
-        )
-
 
 def convert(spec: NetworkSpec, weights: WeightStore,
             params: NeuronParams) -> SpikingNetwork:
@@ -49,7 +35,7 @@ def convert(spec: NetworkSpec, weights: WeightStore,
     validate(spec)  # rejects unknown activation tags
     validate_weights(spec, weights)
     return SpikingNetwork(
-        spec=spec_from_dict(copy.deepcopy(spec_to_dict(spec))),
+        spec=copy.deepcopy(spec),
         weights=weights.copy(),
         neuron_params=params,
     )

@@ -1,5 +1,5 @@
-"""Dataset handling: CSV ingestion, a synthetic two-drug generator,
-standardization, and train/test splitting.
+"""Dataset handling: CSV ingestion, a synthetic two-drug generator, and
+train/test splitting.
 
 The synthetic generator stands in for a large combination-therapy benchmark
 at desk scale: input = [cell | drug_a | drug_b] with a target that is
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ class Dataset:
     features: np.ndarray          # (n, d)
     targets: np.ndarray           # (n,)
     feature_names: list
-    slice_layout: Optional[list] = None   # (name, offset, length) triples
 
     def __len__(self):
         return self.features.shape[0]
@@ -77,10 +75,8 @@ def load_csv(path, target_column: str) -> Dataset:
     if not features:
         raise DataFormatError(f"{path}: no data rows")
     names = [h for i, h in enumerate(header) if i != t_idx]
-    x = np.array(features, dtype=float)
-    return Dataset(features=x, targets=np.array(targets, dtype=float),
-                   feature_names=names,
-                   slice_layout=[("features", 0, x.shape[1])])
+    return Dataset(features=np.array(features, dtype=float),
+                   targets=np.array(targets, dtype=float), feature_names=names)
 
 
 def save_csv(path, dataset: Dataset, target_column: str = "target") -> None:
@@ -126,48 +122,7 @@ def synth_combo(n: int, cell_dim: int = 8, drug_dim: int = 8,
     names = ([f"cell_{i}" for i in range(cell_dim)]
              + [f"drug_a_{i}" for i in range(drug_dim)]
              + [f"drug_b_{i}" for i in range(drug_dim)])
-    return Dataset(
-        features=x, targets=y, feature_names=names,
-        slice_layout=[("cell", 0, cell_dim),
-                      ("drug_a", cell_dim, drug_dim),
-                      ("drug_b", cell_dim + drug_dim, drug_dim)],
-    )
-
-
-@dataclass
-class Scaler:
-    """Per-feature affine transform fitted on training data."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.scale
-
-    def inverse(self, features: np.ndarray) -> np.ndarray:
-        return features * self.scale + self.mean
-
-
-def standardize(train: Dataset, others=()):
-    """Zero-mean, unit-variance features using training statistics only.
-
-    Zero-variance features pass through unchanged. Returns the standardized
-    datasets (train first) and the fitted Scaler.
-    """
-    if len(train) == 0:
-        raise ValueError("training dataset is empty")
-    mu = train.features.mean(axis=0)
-    sd = train.features.std(axis=0)
-    constant = sd == 0
-    scaler = Scaler(mean=np.where(constant, 0.0, mu),
-                    scale=np.where(constant, 1.0, sd))
-    out = []
-    for ds in (train, *others):
-        out.append(Dataset(features=scaler.transform(ds.features),
-                           targets=ds.targets.copy(),
-                           feature_names=list(ds.feature_names),
-                           slice_layout=ds.slice_layout))
-    return out, scaler
+    return Dataset(features=x, targets=y, feature_names=names)
 
 
 def train_test_split(dataset: Dataset, test_fraction: float = 0.25, seed: int = 0):
@@ -183,7 +138,6 @@ def train_test_split(dataset: Dataset, test_fraction: float = 0.25, seed: int = 
     def take(idx):
         return Dataset(features=dataset.features[idx],
                        targets=dataset.targets[idx],
-                       feature_names=list(dataset.feature_names),
-                       slice_layout=dataset.slice_layout)
+                       feature_names=list(dataset.feature_names))
 
     return take(train_idx), take(test_idx)

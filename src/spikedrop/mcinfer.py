@@ -33,15 +33,6 @@ class SampleSet:
     base_seed: int
 
 
-@dataclass
-class DistributionSummary:
-    mean: float
-    std: float
-    q025: float
-    q500: float
-    q975: float
-
-
 def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
                             params: NeuronParams, observation, n_draws: int,
                             base_seed: int, backend: str,
@@ -80,17 +71,6 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
         raise FloatingPointError("non-finite prediction draw")
     return SampleSet(observation_id=observation_id, draws=draws,
                      backend=backend, base_seed=base_seed)
-
-
-def summarize(samples: SampleSet) -> DistributionSummary:
-    """Empirical mean, std (n-1 denominator), and 2.5/50/97.5% quantiles."""
-    d = np.asarray(samples.draws, dtype=float)
-    if d.size == 0:
-        raise ValueError("empty sample set")
-    q = np.quantile(d, [0.025, 0.5, 0.975])
-    std = 0.0 if d.size == 1 else float(np.std(d, ddof=1))
-    return DistributionSummary(mean=float(np.mean(d)), std=std,
-                               q025=float(q[0]), q500=float(q[1]), q975=float(q[2]))
 
 
 def write_samples(path, sample_sets, meta=None) -> None:

@@ -1,11 +1,17 @@
-"""Network architecture description, parameter storage, and forward evaluation.
+"""Network architecture description, parameter storage, and the network traversal.
 
 A network is a set of input slices feeding encoder towers whose outputs are
 concatenated into a head stack. Encoders carrying the same ``share_tag`` reuse
-one parameter set (e.g. one tower applied to each drug of a pair). Dropout is
-applied to layer outputs with inverted scaling (surviving activations divided
-by the keep probability), so the deterministic pass, the masked analog pass,
-and the spiking simulation all operate on the same activation scale.
+one parameter set (e.g. one tower applied to each drug of a pair); this is
+the only form of weight sharing. Dropout is applied to layer outputs with
+inverted scaling (surviving activations divided by the keep probability), so
+the deterministic pass, the masked analog pass, and the spiking simulation
+all operate on the same activation scale.
+
+One private traversal (``_traverse``) walks the towers and the head for both
+backends: ``forward`` runs it with the analog layer step and ``snn.simulate``
+with the LIF layer step, after ``_layer_masks`` has checked the masks for
+either of them.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ class LayerSpec:
     out_dim: int
     activation: str = "softlif"
     keep_prob: float = 1.0
-    share_tag: Optional[str] = None
 
 
 @dataclass
@@ -93,17 +98,11 @@ class NetworkSpec:
         for i, enc in enumerate(self.encoders):
             for j, layer in enumerate(enc.layers):
                 ikey = f"enc{i}:{j}"
-                if layer.share_tag:
-                    wkey = layer.share_tag
-                elif enc.share_tag:
-                    wkey = f"{enc.share_tag}:{j}"
-                else:
-                    wkey = ikey
-                yield ikey, wkey, layer, False
+                yield ikey, f"{enc.share_tag}:{j}" if enc.share_tag else ikey, layer, False
         last = len(self.head) - 1
         for j, layer in enumerate(self.head):
             ikey = f"head:{j}"
-            yield ikey, layer.share_tag or ikey, layer, j == last
+            yield ikey, ikey, layer, j == last
 
 
 class WeightStore:
@@ -235,11 +234,17 @@ def validate(spec: NetworkSpec) -> None:
     if spec.head[-1].keep_prob != 1.0:
         raise InvalidNetworkError("output layer must not have dropout")
 
-    shapes = {}
-    for ikey, wkey, layer, _ in spec.layer_instances():
-        shape = (layer.in_dim, layer.out_dim)
-        if shapes.setdefault(wkey, shape) != shape:
-            raise InvalidNetworkError(f"shared shape conflict at weight key {wkey!r}")
+    # a weight key may be shared only by towers carrying the same share_tag;
+    # a tag such as "enc0" or "head" would otherwise alias a positional key
+    tags = [enc.share_tag for enc in spec.encoders for _ in enc.layers] + [None] * len(spec.head)
+    owners = {}
+    for tag, (ikey, wkey, _, _) in zip(tags, spec.layer_instances()):
+        owner = f"share_tag {tag!r}" if tag else f"untagged layer {ikey!r}"
+        first = owners.setdefault(wkey, owner)
+        if first != owner:
+            raise InvalidNetworkError(
+                f"weight key {wkey!r} is claimed by both {first} and {owner}"
+            )
 
 
 def validate_weights(spec: NetworkSpec, weights: WeightStore) -> None:
@@ -307,34 +312,53 @@ class LayerRecord(NamedTuple):
 
 
 class ForwardCache(NamedTuple):
-    encoder_records: list   # list of LayerRecord lists, one per encoder
-    encoder_out_dims: list
-    head_records: list
+    records: list           # one LayerRecord per layer instance, layer_instances order
     output: np.ndarray      # (n, output_dim)
 
 
 def _gather_slices(spec: NetworkSpec, enc: EncoderSpec, x: np.ndarray) -> np.ndarray:
+    """The encoder's input: its named slices of the last axis, concatenated."""
     spans = spec.slice_spans()
-    parts = [x[:, spans[name][0]: spans[name][0] + spans[name][1]] for name in enc.slices]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    parts = [x[..., spans[name][0]: spans[name][0] + spans[name][1]] for name in enc.slices]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _run_layer(ikey, wkey, layer, a, weights, masks, params, allow_mask=True):
-    w = weights.weights[wkey]
-    b = weights.biases[wkey]
-    current = a @ w.T + b
-    act = softlif_rate(current, params) if layer.activation == "softlif" else current
-    mask = None
-    if masks is not None and ikey in masks:
-        if not allow_mask:
+def _layer_masks(spec: NetworkSpec, masks: Optional[DropMasks]) -> list:
+    """The float mask of every layer instance in layer_instances order, None
+    where unmasked. The one place masks are checked against the spec."""
+    out = []
+    for ikey, _, layer, is_output in spec.layer_instances():
+        if masks is None or ikey not in masks:
+            out.append(None)
+            continue
+        if is_output:
             raise InvalidNetworkError("output layer cannot be masked")
         mask = np.asarray(masks[ikey], dtype=float)
         if mask.shape != (layer.out_dim,):
             raise InvalidNetworkError(
-                f"mask for {ikey!r} has length {mask.shape}, layer width {layer.out_dim}"
+                f"mask for {ikey!r} has shape {mask.shape}, layer width {layer.out_dim}"
             )
-        act = act * (mask / layer.keep_prob)
-    return LayerRecord(ikey, wkey, layer, a, current, act, mask)
+        out.append(mask)
+    return out
+
+
+def _traverse(spec: NetworkSpec, inputs: list, step):
+    """Walk the network once: each encoder tower over its gathered input
+    (``inputs[e]``, from _gather_slices), the concatenated tower outputs,
+    then the head. ``step(i, a)`` evaluates layer instance ``i`` (in
+    layer_instances order) on input ``a`` and returns its output."""
+    i = 0
+    outs = []
+    for enc, a in zip(spec.encoders, inputs):
+        for _ in enc.layers:
+            a = step(i, a)
+            i += 1
+        outs.append(a)
+    a = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
+    for _ in spec.head:
+        a = step(i, a)
+        i += 1
+    return a
 
 
 def forward(spec: NetworkSpec, weights: WeightStore, input,
@@ -356,36 +380,22 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
             f"input has {x.shape[-1] if x.ndim else 0} features, spec wants {spec.input_dim}"
         )
 
-    instances = iter(spec.layer_instances())
-    encoder_records = []
-    encoder_outs = []
-    for enc in spec.encoders:
-        a = _gather_slices(spec, enc, x)
-        records = []
-        for _ in enc.layers:
-            ikey, wkey, layer, _ = next(instances)
-            rec = _run_layer(ikey, wkey, layer, a, weights, masks, params)
-            records.append(rec)
-            a = rec.act
-        encoder_records.append(records)
-        encoder_outs.append(a)
+    instances = list(spec.layer_instances())
+    layer_masks = _layer_masks(spec, masks)
+    records = []
 
-    h = encoder_outs[0] if len(encoder_outs) == 1 else np.concatenate(encoder_outs, axis=1)
-    head_records = []
-    for _ in spec.head:
-        ikey, wkey, layer, is_output = next(instances)
-        rec = _run_layer(ikey, wkey, layer, h, weights, masks, params,
-                         allow_mask=not is_output)
-        head_records.append(rec)
-        h = rec.act
+    def step(i, a):
+        ikey, wkey, layer, _ = instances[i]
+        current = a @ weights.weights[wkey].T + weights.biases[wkey]
+        act = softlif_rate(current, params) if layer.activation == "softlif" else current
+        mask = layer_masks[i]
+        if mask is not None:
+            act = act * (mask / layer.keep_prob)
+        records.append(LayerRecord(ikey, wkey, layer, a, current, act, mask))
+        return act
 
-    cache = ForwardCache(
-        encoder_records=encoder_records,
-        encoder_out_dims=[spec.encoder_output_dim(e) for e in spec.encoders],
-        head_records=head_records,
-        output=h,
-    )
-    return (h[0] if single else h), cache
+    h = _traverse(spec, [_gather_slices(spec, enc, x) for enc in spec.encoders], step)
+    return (h[0] if single else h), ForwardCache(records, h)
 
 
 def single_tower(input_dim: int, layers, slice_name: str = "features") -> NetworkSpec:
@@ -439,17 +449,21 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
         "out_dim": layer.out_dim,
         "activation": layer.activation,
         "keep_prob": layer.keep_prob,
-        "share_tag": layer.share_tag,
+        "share_tag": None,  # format v1 field; towers share through the encoder tag
     }
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
+    if d.get("share_tag") is not None:
+        raise InvalidNetworkError(
+            f"layer share_tag {d['share_tag']!r} is not supported (must be null); "
+            "share a tower through the encoder share_tag"
+        )
     return LayerSpec(
         in_dim=int(d["in_dim"]),
         out_dim=int(d["out_dim"]),
         activation=d["activation"],
         keep_prob=float(d["keep_prob"]),
-        share_tag=d.get("share_tag"),
     )
 
 
@@ -529,22 +543,33 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
 
 
 def load_model(path) -> LoadedModel:
+    """Read a model file; any defect is an InvalidNetworkError naming the file."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InvalidNetworkError(f"not a {MODEL_FORMAT} file: {path}")
-    spec = spec_from_dict(doc["spec"])
-    validate(spec)
-    np_doc = doc["neuron_params"]
-    params = NeuronParams(
-        tau_ref=float(np_doc["tau_ref"]),
-        tau_rc=float(np_doc["tau_rc"]),
-        v_th=float(np_doc["v_th"]),
-        gamma=float(np_doc["gamma"]),
-    )
-    weights = WeightStore(
-        {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},
-        {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},
-    )
-    validate_weights(spec, weights)
-    return LoadedModel(doc["kind"], spec, weights, params)
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise InvalidNetworkError(
+            f"{path}: unsupported format_version {doc.get('format_version')!r} "
+            f"(this reader supports {MODEL_FORMAT_VERSION})"
+        )
+    try:
+        spec = spec_from_dict(doc["spec"])
+        validate(spec)
+        np_doc = doc["neuron_params"]
+        params = NeuronParams(
+            tau_ref=float(np_doc["tau_ref"]),
+            tau_rc=float(np_doc["tau_rc"]),
+            v_th=float(np_doc["v_th"]),
+            gamma=float(np_doc["gamma"]),
+        )
+        weights = WeightStore(
+            {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},
+            {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},
+        )
+        validate_weights(spec, weights)
+        return LoadedModel(doc["kind"], spec, weights, params)
+    except KeyError as exc:
+        raise InvalidNetworkError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidNetworkError(f"{path}: {exc}") from None

@@ -43,14 +43,6 @@ class NeuronParams:
             raise ValueError("gamma must be > 0")
 
 
-@dataclass
-class LifState:
-    """Membrane state of one neuron between ticks."""
-
-    voltage: float = 0.0
-    refractory_remaining: float = 0.0
-
-
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
@@ -150,16 +142,3 @@ def lif_step_arrays(voltage, refractory, current, dt: float, params: NeuronParam
     refr = np.where(spiked, params.tau_ref, refr)
     return v, refr, spiked
 
-
-def lif_step(state: LifState, input_current: float, dt: float,
-             params: NeuronParams = NeuronParams()):
-    """Single-neuron wrapper around lif_step_arrays.
-
-    Returns ``(new_state, spiked)``.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    v, refr, spiked = lif_step_arrays(
-        state.voltage, state.refractory_remaining, input_current, dt, params
-    )
-    return LifState(float(v), float(refr)), bool(spiked)

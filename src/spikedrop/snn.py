@@ -1,5 +1,7 @@
 """Clock-driven simulation of the spiking network under one fixed drop-mask.
 
+Each tick walks the network with the same traversal as the analog forward
+pass (``network._traverse``), with a LIF step in place of the rate curve.
 Inputs are held as constant injected currents into the first weight layer.
 Each spike deposits an impulse of height 1/dt into the emitting neuron's
 synaptic lowpass filter, so the filtered signal is in Hz and directly
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convert import SpikingNetwork
-from .network import InvalidNetworkError
+from .network import InvalidNetworkError, _gather_slices, _layer_masks, _traverse
 from .neuron import lif_step_arrays
 
 
@@ -56,23 +58,6 @@ class OutputTrace:
         return len(self.values)
 
 
-class _LayerRuntime:
-    """Mutable per-tick state for one layer instance."""
-
-    def __init__(self, wkey, layer, mask, v0):
-        self.wkey = wkey
-        self.layer = layer
-        self.spiking = layer.activation == "softlif"
-        self.mask = mask                  # None when the layer is unmasked
-        if mask is not None:
-            self.active = mask > 0
-            self.scale = mask / layer.keep_prob
-        if self.spiking:
-            self.v = v0
-            self.refr = np.zeros(layer.out_dim)
-            self.syn = np.zeros(layer.out_dim)
-
-
 def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
     """Run one simulation under one fixed mask set; deterministic throughout.
 
@@ -80,7 +65,6 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
     spiking analog of a mask-free forward pass).
     """
     spec = net.spec
-    weights = net.weights
     p = net.neuron_params
     x = np.asarray(input, dtype=float)
     if x.ndim != 1 or x.shape[0] != spec.input_dim:
@@ -88,77 +72,55 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
             f"input has shape {x.shape}, spec wants ({spec.input_dim},)"
         )
 
+    instances = list(spec.layer_instances())
+    layers = [layer for _, _, layer, _ in instances]
+    w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
+    b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
+    layer_masks = _layer_masks(spec, masks)
+    active = [None if m is None else m > 0 for m in layer_masks]
+    scale = [None if m is None else m / layer.keep_prob
+             for m, layer in zip(layer_masks, layers)]
+    spiking = [layer.activation == "softlif" for layer in layers]
+
+    # per-neuron state of the spiking layers: voltage, refractory clock, filter
     v0_rng = np.random.default_rng(sim.v0_seed) if sim.v0_seed != 0 else None
+    v, refr, syn = {}, {}, {}
+    for i, layer in enumerate(layers):
+        if spiking[i]:
+            v[i] = (v0_rng.uniform(0.0, p.v_th, layer.out_dim) if v0_rng is not None
+                    else np.zeros(layer.out_dim))
+            refr[i] = np.zeros(layer.out_dim)
+            syn[i] = np.zeros(layer.out_dim)
 
-    runtimes = {}
-    for ikey, wkey, layer, is_output in spec.layer_instances():
-        mask = None
-        if masks is not None and ikey in masks:
-            if is_output:
-                raise InvalidNetworkError("output layer cannot be masked")
-            mask = np.asarray(masks[ikey], dtype=float)
-            if mask.shape != (layer.out_dim,):
-                raise InvalidNetworkError(
-                    f"mask for {ikey!r} has shape {mask.shape}, layer width {layer.out_dim}"
-                )
-        if layer.activation == "softlif" and v0_rng is not None:
-            v0 = v0_rng.uniform(0.0, p.v_th, layer.out_dim)
-        else:
-            v0 = np.zeros(layer.out_dim)
-        runtimes[ikey] = _LayerRuntime(wkey, layer, mask, v0)
-
-    spans = spec.slice_spans()
-    encoder_inputs = []
-    for enc in spec.encoders:
-        parts = [x[spans[name][0]: spans[name][0] + spans[name][1]] for name in enc.slices]
-        encoder_inputs.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-
-    instance_plan = [(ikey, runtimes[ikey]) for ikey, _, _, _ in spec.layer_instances()]
-    enc_layer_counts = [len(enc.layers) for enc in spec.encoders]
     dt = sim.dt
     alpha = dt / sim.tau_syn if sim.tau_syn > 0 else None
 
-    trace = np.empty((sim.n_steps, spec.output_dim))
-
-    def run_layer(rt: _LayerRuntime, a):
-        w = weights.weights[rt.wkey]
-        b = weights.biases[rt.wkey]
-        current = w @ a + b
-        if rt.spiking:
-            v_new, refr_new, spiked = lif_step_arrays(rt.v, rt.refr, current, dt, p)
-            if rt.mask is not None:
+    def step(i, a):
+        current = w[i] @ a + b[i]
+        if spiking[i]:
+            v_new, refr_new, spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
+            keep = active[i]
+            if keep is not None:
                 # frozen: dropped neurons keep their state and never spike
-                rt.v = np.where(rt.active, v_new, rt.v)
-                rt.refr = np.where(rt.active, refr_new, rt.refr)
-                spiked = spiked & rt.active
+                v[i] = np.where(keep, v_new, v[i])
+                refr[i] = np.where(keep, refr_new, refr[i])
+                spiked = spiked & keep
             else:
-                rt.v = v_new
-                rt.refr = refr_new
+                v[i] = v_new
+                refr[i] = refr_new
             impulse = spiked / dt
-            if alpha is None:
-                rt.syn = impulse
-            else:
-                rt.syn = rt.syn + alpha * (impulse - rt.syn)
-            out = rt.syn
+            syn[i] = impulse if alpha is None else syn[i] + alpha * (impulse - syn[i])
+            out = syn[i]
         else:
             out = current
-        if rt.mask is not None:
-            out = out * rt.scale
+        if scale[i] is not None:
+            out = out * scale[i]
         return out
 
+    inputs = [_gather_slices(spec, enc, x) for enc in spec.encoders]  # once, not per tick
+    trace = np.empty((sim.n_steps, spec.output_dim))
     for t in range(sim.n_steps):
-        plan = iter(instance_plan)
-        encoder_outs = []
-        for enc_idx, count in enumerate(enc_layer_counts):
-            a = encoder_inputs[enc_idx]
-            for _ in range(count):
-                _, rt = next(plan)
-                a = run_layer(rt, a)
-            encoder_outs.append(a)
-        a = encoder_outs[0] if len(encoder_outs) == 1 else np.concatenate(encoder_outs)
-        for _, rt in plan:
-            a = run_layer(rt, a)
-        trace[t] = a
+        trace[t] = _traverse(spec, inputs, step)
 
     if not np.isfinite(trace).all():
         raise FloatingPointError("non-finite output potential in trace")

@@ -87,15 +87,18 @@ def backward(spec: NetworkSpec, weights: WeightStore, cache: ForwardCache,
         raise ValueError(f"length mismatch: {preds.size} predictions, {t.size} targets")
     g = 2.0 * (preds - t.reshape(preds.shape)) / preds.size
 
+    # split the flat records (layer_instances order) into towers and head
+    records = iter(cache.records)
+    towers = [[next(records) for _ in enc.layers] for enc in spec.encoders]
     grads = weights.zeros_like()
-    for rec in reversed(cache.head_records):
+    for rec in reversed(list(records)):
         g = _layer_backward(rec, g, weights, grads, params)
 
     # split the head-input gradient back into encoder output segments
-    offsets = np.cumsum([0] + list(cache.encoder_out_dims))
-    for enc_idx, records in enumerate(cache.encoder_records):
+    offsets = np.cumsum([0] + [spec.encoder_output_dim(enc) for enc in spec.encoders])
+    for enc_idx, tower in enumerate(towers):
         g_enc = g[:, offsets[enc_idx]: offsets[enc_idx + 1]]
-        for rec in reversed(records):
+        for rec in reversed(tower):
             g_enc = _layer_backward(rec, g_enc, weights, grads, params)
     return grads
 

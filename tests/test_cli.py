@@ -78,6 +78,29 @@ class TestTrain:
         assert exc.value.code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (["infer", "--draws", "0"], "--draws"),
+        (["infer", "--steps", "100", "--burnin", "100"], "--burnin"),
+        (["trace", "--row", "0", "--steps", "50"], "--burnin"),
+        (["infer", "--steps", "0"], "--steps"),
+        (["infer", "--dt", "0"], "--dt"),
+        (["infer", "--tausyn", "-0.001"], "--tausyn"),
+        (["train", "--epochs", "0"], "--epochs"),
+        (["train", "--batch", "0"], "--batch"),
+        (["train", "--lr", "0"], "--lr"),
+    ], ids=["draws", "burnin-infer", "burnin-trace", "steps", "dt", "tausyn", "epochs",
+            "batch", "lr"])
+    def test_out_of_range_flag_exits_2_naming_it(self, argv, flag, capsys):
+        files = {"infer": ["--model", "m.json", "--data", "d.csv"],
+                 "trace": ["--model", "m.json", "--data", "d.csv"],
+                 "train": ["--spec", "s.json", "--data", "d.csv"]}[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + files + ["--out", "o"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestInfer:
     def test_row_count_and_determinism(self, workspace, tmp_path):
         _, data, _, model = workspace
@@ -99,22 +122,6 @@ class TestInfer:
               "--backend", "analog", "--draws", "7", "--seed", "3",
               "--out", str(out2)])
         assert out.read_bytes() == out2.read_bytes()
-
-    def test_thread_count_does_not_change_output(self, workspace, tmp_path,
-                                                 monkeypatch):
-        _, data, _, model = workspace
-        small = tmp_path / "sub.csv"
-        small.write_text("\n".join(data.read_text().splitlines()[:13]) + "\n")
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        main(["infer", "--model", str(model), "--data", str(small),
-              "--backend", "analog", "--draws", "5", "--seed", "2",
-              "--out", str(serial)])
-        monkeypatch.setenv("SPIKEDROP_THREADS", "4")
-        main(["infer", "--model", str(model), "--data", str(small),
-              "--backend", "analog", "--draws", "5", "--seed", "2",
-              "--out", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_single_draw_without_dropout_equals_forward(self, tmp_path):
         # keep_prob 1 everywhere: one masked draw is the deterministic pass

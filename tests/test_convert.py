@@ -39,7 +39,9 @@ class TestConvert:
         spec, weights, params = trained_like_network()
         once = convert(spec, weights, params)
         twice = convert(once.spec, once.weights, once.neuron_params)
-        assert once.equal(twice)
+        assert once.spec == twice.spec
+        assert once.weights.equal(twice.weights)
+        assert once.neuron_params == twice.neuron_params
 
     def test_rejects_unsupported_activation(self):
         spec = NetworkSpec(

@@ -5,10 +5,8 @@ import pytest
 
 from spikedrop.data import (
     DataFormatError,
-    Dataset,
     load_csv,
     save_csv,
-    standardize,
     synth_combo,
     train_test_split,
 )
@@ -64,7 +62,8 @@ class TestSynthCombo:
     def test_shapes_and_layout(self):
         ds = synth_combo(100, cell_dim=5, drug_dim=3, seed=0)
         assert ds.features.shape == (100, 11)
-        assert ds.slice_layout == [("cell", 0, 5), ("drug_a", 5, 3), ("drug_b", 8, 3)]
+        # column layout [cell | drug_a | drug_b]
+        assert [ds.feature_names[i] for i in (0, 5, 8)] == ["cell_0", "drug_a_0", "drug_b_0"]
         assert len(ds.feature_names) == 11
 
     def test_target_symmetric_in_drugs(self):
@@ -105,34 +104,6 @@ class TestSynthCombo:
             synth_combo(0, 1, 1)
         with pytest.raises(ValueError):
             synth_combo(10, 0, 1)
-
-
-class TestStandardize:
-    def test_train_columns_normalized(self):
-        ds = synth_combo(300, 4, 4, seed=2)
-        ds.features *= np.arange(1, 13)  # uneven scales
-        (std_ds,), scaler = standardize(ds)
-        assert np.all(np.abs(std_ds.features.mean(axis=0)) < 1e-12)
-        assert np.all(np.abs(std_ds.features.std(axis=0) - 1) < 1e-12)
-
-    def test_constant_feature_passes_through(self):
-        ds = Dataset(features=np.column_stack([np.full(5, 3.0), np.arange(5.0)]),
-                     targets=np.zeros(5), feature_names=["c", "x"])
-        (out,), scaler = standardize(ds)
-        assert np.array_equal(out.features[:, 0], np.full(5, 3.0))
-
-    def test_scaler_inverts_on_held_out_data(self):
-        train = synth_combo(200, 3, 3, seed=4)
-        held = synth_combo(50, 3, 3, seed=5)
-        (_, held_std), scaler = standardize(train, [held])
-        recovered = scaler.inverse(held_std.features)
-        assert np.all(np.abs(recovered - held.features) < 1e-12)
-
-    def test_empty_train_rejected(self):
-        empty = Dataset(features=np.empty((0, 2)), targets=np.empty(0),
-                        feature_names=["a", "b"])
-        with pytest.raises(ValueError):
-            standardize(empty)
 
 
 class TestTrainTestSplit:

@@ -8,7 +8,6 @@ from spikedrop.mcinfer import (
     SampleSet,
     predictive_distribution,
     read_samples,
-    summarize,
     write_samples,
 )
 from spikedrop.network import (
@@ -126,31 +125,6 @@ class TestPredictiveDistribution:
             predictive_distribution(spec, weights, P, obs, 0, 0, "analog")
         with pytest.raises(ValueError):
             predictive_distribution(spec, weights, P, obs, 5, 0, "quantum")
-
-
-class TestSummarize:
-    def test_constant_draws(self):
-        s = summarize(SampleSet(0, np.array([5.0, 5.0, 5.0]), "analog", 0))
-        assert s.mean == 5.0 and s.std == 0.0
-
-    def test_hand_computed(self):
-        s = summarize(SampleSet(0, np.array([1.0, 2.0, 3.0, 4.0]), "analog", 0))
-        assert s.mean == pytest.approx(2.5)
-        assert s.std == pytest.approx(np.sqrt(5 / 3))
-
-    def test_quantiles_monotone(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            s = summarize(SampleSet(0, rng.normal(size=37), "analog", 0))
-            assert s.q025 <= s.q500 <= s.q975
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize(SampleSet(0, np.array([]), "analog", 0))
-
-    def test_single_draw(self):
-        s = summarize(SampleSet(0, np.array([2.0]), "analog", 0))
-        assert s.mean == 2.0 and s.std == 0.0
 
 
 class TestSamplesFile:

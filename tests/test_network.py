@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,25 @@ class TestValidate:
         )
         with pytest.raises(InvalidNetworkError, match="shared shape conflict"):
             validate(spec)
+
+    @pytest.mark.parametrize("tag, encoders, head", [
+        # tower 1 keyed "enc0:0", the key of untagged encoder 0
+        ("enc0", [EncoderSpec(["a"], [LayerSpec(3, 3)]),
+                  EncoderSpec(["b"], [LayerSpec(3, 3)], share_tag="enc0")],
+         [LayerSpec(6, 1, "linear")]),
+        # tower keyed "head:0", the key of the first head layer
+        ("head", [EncoderSpec(["a", "b"], [LayerSpec(6, 6)], share_tag="head")],
+         [LayerSpec(6, 6), LayerSpec(6, 1, "linear")]),
+    ], ids=["enc0", "head"])
+    def test_share_tag_aliasing_a_positional_weight_key(self, tag, encoders, head):
+        # same shapes, so without the check the two layers would silently
+        # train and run on one parameter set
+        spec = NetworkSpec(input_slices=[("a", 0, 3), ("b", 3, 3)],
+                           encoders=encoders, head=head, output_dim=1)
+        with pytest.raises(InvalidNetworkError, match=f"share_tag '{tag}'"):
+            validate(spec)
+        with pytest.raises(InvalidNetworkError):
+            init_weights(spec, seed=0)
 
     def test_overlapping_slices(self):
         spec = minimal_spec()
@@ -250,7 +271,9 @@ class TestForward:
         x = np.array([0.5, -0.5, 1.0, 2.0, 0.0])
         out, cache = forward(spec, w, x, None, P)
         # head input begins with the untouched raw slice
-        assert np.array_equal(cache.head_records[0].a_in[0, :2], x[:2])
+        head = cache.records[-1]
+        assert head.instance_key == "head:0"
+        assert np.array_equal(head.a_in[0, :2], x[:2])
 
 
 class TestSampleMasks:
@@ -306,6 +329,34 @@ class TestModelFile:
         path.write_text('{"something": 1}')
         with pytest.raises(InvalidNetworkError):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("spec"), "missing field 'spec'"),
+        (lambda doc: doc["spec"]["head"][0].pop("in_dim"), "missing field 'in_dim'"),
+        (lambda doc: doc.pop("neuron_params"), "missing field 'neuron_params'"),
+        (lambda doc: doc.update(format_version=7), "format_version 7"),
+        (lambda doc: doc.pop("format_version"), "format_version None"),
+        (lambda doc: doc["spec"]["head"][0].update(share_tag="t"), "share_tag 't'"),
+    ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
+            "layer-share_tag"])
+    def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidNetworkError, match=message) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    def test_layer_share_tag_written_as_null(self, tmp_path):
+        path = tmp_path / "model.json"
+        spec = combo_spec(4, 4)
+        save_model(path, spec, init_weights(spec, seed=0), NeuronParams())
+        doc = json.loads(path.read_text())
+        layers = [l for e in doc["spec"]["encoders"] for l in e["layers"]] + doc["spec"]["head"]
+        assert all("share_tag" in l and l["share_tag"] is None for l in layers)
+        assert [e["share_tag"] for e in doc["spec"]["encoders"]] == [None, "drug", "drug"]
 
     def test_rejects_unknown_kind(self, tmp_path):
         spec = minimal_spec()

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from spikedrop.neuron import (
-    LifState,
     NeuronParams,
     lif_rate,
-    lif_step,
     lif_step_arrays,
     softlif_rate,
     softlif_rate_grad,
@@ -144,39 +142,42 @@ class TestSoftlifRateGrad:
             assert softlif_rate_grad(float(x), P) == v
 
 
+def lif_step_one(voltage, refractory, current, dt=0.001):
+    """One tick of a single neuron through lif_step_arrays, as scalars."""
+    v, refr, spiked = lif_step_arrays(np.array([voltage]), np.array([refractory]),
+                                      np.array([current]), dt, P)
+    return v[0], refr[0], bool(spiked[0])
+
+
 class TestLifStep:
     def test_decay_toward_zero(self):
-        state, spiked = lif_step(LifState(0.5, 0.0), 0.0, 0.001, P)
+        v, _, spiked = lif_step_one(0.5, 0.0, 0.0)
         assert not spiked
-        assert state.voltage == pytest.approx(0.5 * math.exp(-0.05), rel=1e-12)
+        assert v == pytest.approx(0.5 * math.exp(-0.05), rel=1e-12)
 
     def test_charge_toward_current(self):
-        state, spiked = lif_step(LifState(0.0, 0.0), 2.0, 0.001, P)
+        v, _, spiked = lif_step_one(0.0, 0.0, 2.0)
         assert not spiked
-        assert state.voltage == pytest.approx(2 * (1 - math.exp(-0.05)), rel=1e-12)
+        assert v == pytest.approx(2 * (1 - math.exp(-0.05)), rel=1e-12)
 
     def test_spike_resets_and_sets_refractory(self):
-        state, spiked = lif_step(LifState(0.99, 0.0), 50.0, 0.001, P)
+        v, refr, spiked = lif_step_one(0.99, 0.0, 50.0)
         assert spiked
-        assert state.voltage == 0.0
-        assert state.refractory_remaining == P.tau_ref
+        assert v == 0.0
+        assert refr == P.tau_ref
 
     def test_refractory_holds_voltage(self):
-        state, spiked = lif_step(LifState(0.0, 0.002), 5.0, 0.001, P)
+        v, refr, spiked = lif_step_one(0.0, 0.002, 5.0)
         assert not spiked
-        assert state.voltage == 0.0
-        assert state.refractory_remaining == pytest.approx(0.001)
+        assert v == 0.0
+        assert refr == pytest.approx(0.001)
 
     def test_partial_step_integrates_remaining_fraction(self):
         # refractory ends halfway through the step: only dt/2 of charging
         dt = 0.001
-        state, _ = lif_step(LifState(0.0, dt / 2), 2.0, dt, P)
+        v, _, _ = lif_step_one(0.0, dt / 2, 2.0, dt)
         expected = 2 * (1 - math.exp(-(dt / 2) / P.tau_rc))
-        assert state.voltage == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            lif_step(LifState(), 1.0, 0.0, P)
+        assert v == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("current", [1.5, 2.0, 4.0])
     def test_long_run_rate_matches_closed_form(self, current):
@@ -193,20 +194,18 @@ class TestLifStep:
 
     def test_voltage_bounded_under_nonnegative_input(self):
         rng = np.random.default_rng(5)
-        state = LifState()
+        v, refr = 0.0, 0.0
         for _ in range(2000):
-            state, spiked = lif_step(state, float(rng.uniform(0, 3)), 0.001, P)
-            assert 0.0 <= state.voltage <= P.v_th
-            assert state.refractory_remaining >= 0.0
+            v, refr, _ = lif_step_one(v, refr, float(rng.uniform(0, 3)))
+            assert 0.0 <= v <= P.v_th
+            assert refr >= 0.0
 
     def test_scalar_wrapper_matches_array_core(self):
+        # neurons in one vector call evolve exactly as they would alone
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            v0 = float(rng.uniform(0, 1))
-            r0 = float(rng.uniform(0, 0.003))
-            j = float(rng.uniform(-1, 4))
-            state, spiked = lif_step(LifState(v0, r0), j, 0.001, P)
-            av, ar, asp = lif_step_arrays(np.array([v0]), np.array([r0]), np.array([j]), 0.001, P)
-            assert state.voltage == av[0]
-            assert state.refractory_remaining == ar[0]
-            assert spiked == bool(asp[0])
+        v0 = rng.uniform(0, 1, 200)
+        r0 = rng.uniform(0, 0.003, 200)
+        j = rng.uniform(-1, 4, 200)
+        av, ar, asp = lif_step_arrays(v0, r0, j, 0.001, P)
+        for k in range(200):
+            assert lif_step_one(v0[k], r0[k], j[k]) == (av[k], ar[k], bool(asp[k]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikedrop.convert import convert
 from spikedrop.network import (
@@ -49,6 +51,43 @@ def rate_bank_net(currents):
     w.weights["head:0"][:] = np.eye(n)
     w.biases["head:0"][:] = 0.0
     return convert(spec, w, P)
+
+
+@st.composite
+def linear_networks(draw):
+    """Specs with only linear layers: towers over one or two slices, some
+    passthrough, some shared by a pair of encoders, then a head of one to
+    three layers whose hidden layers may drop out."""
+    keep = st.sampled_from([0.5, 0.8, 1.0])
+    slices, encoders = [], []
+
+    def new_slices(lengths):
+        names = []
+        for length in lengths:
+            names.append(f"s{len(slices)}")
+            slices.append((names[-1], sum(n for _, _, n in slices), length))
+        return names
+
+    for t in range(draw(st.integers(1, 3))):
+        lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        widths = draw(st.lists(st.integers(1, 4), max_size=2))
+        layers, in_dim = [], sum(lengths)
+        for width in widths:
+            layers.append(LayerSpec(in_dim, width, "linear", draw(keep)))
+            in_dim = width
+        copies = draw(st.integers(1, 2)) if layers else 1
+        tag = f"t{t}" if copies == 2 else None
+        for _ in range(copies):
+            encoders.append(EncoderSpec(new_slices(lengths), layers, share_tag=tag))
+
+    spec = NetworkSpec(input_slices=slices, encoders=encoders, head=[], output_dim=0)
+    in_dim = sum(spec.encoder_output_dim(enc) for enc in encoders)
+    for width in draw(st.lists(st.integers(1, 4), max_size=2)):
+        spec.head.append(LayerSpec(in_dim, width, "linear", draw(keep)))
+        in_dim = width
+    spec.output_dim = draw(st.integers(1, 2))
+    spec.head.append(LayerSpec(in_dim, spec.output_dim, "linear"))
+    return spec
 
 
 class TestSimConfig:
@@ -212,22 +251,27 @@ class TestSimulate:
         trace = simulate(net, np.array([5.0]), masks, SimConfig(n_steps=100, burn_in_steps=10))
         assert np.all(trace.values == 0.0)
 
-    def test_masked_linear_network_matches_masked_forward_every_tick(self):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=linear_networks(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(spec=NetworkSpec(
+        input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3), ("r", 8, 1)],
+        encoders=[EncoderSpec(["r", "c"], [LayerSpec(3, 4, "linear", 0.5)]),
+                  EncoderSpec(["a"], [LayerSpec(3, 2, "linear", 0.8)], share_tag="t"),
+                  EncoderSpec(["b"], [LayerSpec(3, 2, "linear", 0.8)], share_tag="t"),
+                  EncoderSpec(["r"])],
+        head=[LayerSpec(9, 5, "linear", 0.5), LayerSpec(5, 1, "linear")],
+        output_dim=1,
+    ), seed=3)
+    def test_masked_linear_network_matches_masked_forward_every_tick(self, spec, seed):
         # with only linear layers, the simulation carries no spiking state;
-        # the masked trace must equal the masked analog output exactly
-        spec = NetworkSpec(
-            input_slices=[("x", 0, 2)],
-            encoders=[EncoderSpec(["x"], [LayerSpec(2, 3, "linear", keep_prob=0.5)])],
-            head=[LayerSpec(3, 1, "linear")],
-            output_dim=1,
-        )
-        w = init_weights(spec, seed=12)
+        # every tick of the masked trace must equal the masked analog output
+        w = init_weights(spec, seed=seed)
         net = convert(spec, w, P)
-        x = np.array([0.4, -1.1])
-        masks = DropMasks({"enc0:0": np.array([1.0, 0.0, 1.0])})
+        x = np.random.default_rng(seed).normal(size=spec.input_dim)
+        masks = sample_masks(spec, seed)
         analog, _ = forward(spec, w, x, masks, P)
-        trace = simulate(net, x, masks, SimConfig(n_steps=40, burn_in_steps=5))
-        assert np.allclose(trace.values, analog[0], rtol=1e-12, atol=1e-12)
+        trace = simulate(net, x, masks, SimConfig(n_steps=4, burn_in_steps=0))
+        assert np.allclose(trace.values, analog, rtol=1e-12, atol=1e-12)
 
     def test_mixed_passthrough_and_spiking_encoders(self):
         spec = NetworkSpec(
