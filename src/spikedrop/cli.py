@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -35,24 +36,22 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
 _NONNEGATIVE_FLOAT = _checked(float, lambda v: v >= 0, ">= 0")
+_KEEP_PROB = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _neuron_params_from_dict(d) -> NeuronParams:
+    """Neuron constants from a config file; an omitted field keeps its default."""
     d = d or {}
-    return NeuronParams(
-        tau_ref=float(d.get("tau_ref", 0.002)),
-        tau_rc=float(d.get("tau_rc", 0.02)),
-        v_th=float(d.get("v_th", 1.0)),
-        gamma=float(d.get("gamma", 0.02)),
-    )
+    return NeuronParams(**{f.name: float(d[f.name]) for f in fields(NeuronParams) if f.name in d})
 
 
 def _load_network_config(path):
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, network._naming_file(path):
         doc = json.load(f)
-    spec = network.spec_from_dict(doc["spec"])
-    network.validate(spec)
-    return spec, _neuron_params_from_dict(doc.get("neuron_params"))
+        spec = network.spec_from_dict(doc["spec"])
+        network.validate(spec)
+        return spec, _neuron_params_from_dict(doc.get("neuron_params"))
 
 
 def _sim_from_args(args) -> snn.SimConfig:
@@ -91,8 +90,7 @@ def cmd_init_spec(args) -> int:
                           v_th=args.v_th, gamma=args.gamma)
     doc = {
         "spec": network.spec_to_dict(spec),
-        "neuron_params": {"tau_ref": params.tau_ref, "tau_rc": params.tau_rc,
-                          "v_th": params.v_th, "gamma": params.gamma},
+        "neuron_params": asdict(params),
     }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drug-hidden", type=int, default=16)
     p.add_argument("--head-hidden", type=int, default=32,
                    help="hidden head width; 0 = affine readout directly on the towers")
-    p.add_argument("--keep-prob", type=float, default=0.9)
+    p.add_argument("--keep-prob", type=_KEEP_PROB, default=0.9)
     p.add_argument("--tau-ref", type=float, default=0.002)
     p.add_argument("--tau-rc", type=float, default=0.02)
     p.add_argument("--v-th", type=float, default=1.0)
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_POSITIVE_INT, default=32)
     p.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=_FRACTION, default=0.2)
     p.add_argument("--history", default=None,
                    help="loss history CSV (default: <out>.history.csv)")
     p.set_defaults(func=cmd_train)
@@ -321,6 +319,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "burnin" in vars(args) and args.burnin >= args.steps:
         parser.error(f"--burnin ({args.burnin}) must be less than --steps ({args.steps})")
+    if "tausyn" in vars(args) and 0 < args.tausyn < args.dt:
+        parser.error(f"--dt ({args.dt}) must not exceed --tausyn ({args.tausyn}) when --tausyn > 0")
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure -> exit 1 with a diagnostic

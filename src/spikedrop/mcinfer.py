@@ -90,35 +90,44 @@ def read_samples(path):
     """Parse a samples file.
 
     Returns ``(meta, groups)`` where groups maps observation_id to
-    ``(backend, draws)`` with draws ordered by draw_id.
+    ``(backend, draws)`` with draws ordered by draw_id; each observation must
+    hold draws 0..n-1 once each from one backend. Errors name the file and the
+    data row (from 1 after the header) or the observation.
     """
     meta = {}
-    rows = []
+    groups = {}  # observation_id -> {draw_id: (backend, prediction)}
+    row_num = 0  # data rows count from 1; 0 until the header is read
     with open(path, "r", encoding="utf-8") as f:
-        reader = csv.reader(line for line in f if line.strip())
-        header = None
-        for row in reader:
+        for row in csv.reader(line for line in f if line.strip()):
             if row and row[0].startswith("#"):
                 text = ",".join(row).lstrip("#").strip()
                 if "=" in text:
                     key, val = text.split("=", 1)
                     meta[key.strip()] = val.strip()
-                continue
-            if header is None:
-                header = row
-                if header != ["observation_id", "draw_id", "backend", "prediction"]:
-                    raise ValueError(f"unexpected samples header: {header}")
-                continue
-            rows.append(row)
+            elif row_num == 0:
+                if row != ["observation_id", "draw_id", "backend", "prediction"]:
+                    raise ValueError(f"{path}: unexpected samples header: {row}")
+                row_num = 1
+            else:
+                try:
+                    if len(row) != 4:
+                        raise ValueError(f"expected 4 fields, got {len(row)}")
+                    obs_id, draw_id, backend, pred = int(row[0]), int(row[1]), row[2], float(row[3])
+                    draws = groups.setdefault(obs_id, {})
+                    if draw_id in draws:
+                        raise ValueError(f"duplicate draw {draw_id} of observation {obs_id}")
+                    draws[draw_id] = (backend, pred)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {row_num}: {exc}") from None
+                row_num += 1
 
-    groups = {}
-    for obs_id, draw_id, backend, pred in rows:
-        groups.setdefault(int(obs_id), []).append((int(draw_id), backend, float(pred)))
     out = {}
-    for obs_id, entries in groups.items():
-        entries.sort(key=lambda e: e[0])
-        backends = {b for _, b, _ in entries}
+    for obs_id, draws in groups.items():
+        missing = set(range(len(draws))) - set(draws)
+        if missing:
+            raise ValueError(f"{path}: observation {obs_id}: missing draw {min(missing)}")
+        backends = {b for b, _ in draws.values()}
         if len(backends) != 1:
-            raise ValueError(f"observation {obs_id}: mixed backends {backends}")
-        out[obs_id] = (backends.pop(), np.array([v for _, _, v in entries]))
+            raise ValueError(f"{path}: observation {obs_id}: mixed backends {backends}")
+        out[obs_id] = (backends.pop(), np.array([draws[k][1] for k in range(len(draws))]))
     return meta, out

@@ -3,21 +3,21 @@
 A network is a set of input slices feeding encoder towers whose outputs are
 concatenated into a head stack. Encoders carrying the same ``share_tag`` reuse
 one parameter set (e.g. one tower applied to each drug of a pair); this is
-the only form of weight sharing. Dropout is applied to layer outputs with
-inverted scaling (surviving activations divided by the keep probability), so
-the deterministic pass, the masked analog pass, and the spiking simulation
-all operate on the same activation scale.
+the only form of weight sharing. Dropout acts in one way only: a layer's
+output is multiplied by its inverted-dropout scale ``mask / keep_prob``
+(``_layer_scales``), so the deterministic pass, the masked analog pass, the
+gradient and the spiking simulation all operate on the same activation scale.
 
 One private traversal (``_traverse``) walks the towers and the head for both
 backends: ``forward`` runs it with the analog layer step and ``snn.simulate``
-with the LIF layer step, after ``_layer_masks`` has checked the masks for
-either of them.
+with the LIF layer step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ ACTIVATIONS = ("softlif", "linear")
 
 MODEL_FORMAT = "spikedrop-model"
 MODEL_FORMAT_VERSION = 1
+MODEL_KINDS = ("analog", "spiking")
 
 
 class InvalidNetworkError(ValueError):
@@ -307,8 +308,7 @@ class LayerRecord(NamedTuple):
     layer: LayerSpec
     a_in: np.ndarray      # (n, in_dim) layer input
     current: np.ndarray   # (n, out_dim) pre-activation
-    act: np.ndarray       # (n, out_dim) post-activation, post-mask
-    mask: Optional[np.ndarray]
+    scale: Optional[np.ndarray]  # (out_dim,) mask / keep_prob; None if unmasked
 
 
 class ForwardCache(NamedTuple):
@@ -323,9 +323,10 @@ def _gather_slices(spec: NetworkSpec, enc: EncoderSpec, x: np.ndarray) -> np.nda
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _layer_masks(spec: NetworkSpec, masks: Optional[DropMasks]) -> list:
-    """The float mask of every layer instance in layer_instances order, None
-    where unmasked. The one place masks are checked against the spec."""
+def _layer_scales(spec: NetworkSpec, masks: Optional[DropMasks]) -> list:
+    """The inverted-dropout scale ``mask / keep_prob`` of every layer instance
+    in layer_instances order, None where unmasked. The one place masks are
+    checked against the spec and turned into scales."""
     out = []
     for ikey, _, layer, is_output in spec.layer_instances():
         if masks is None or ikey not in masks:
@@ -338,7 +339,7 @@ def _layer_masks(spec: NetworkSpec, masks: Optional[DropMasks]) -> list:
             raise InvalidNetworkError(
                 f"mask for {ikey!r} has shape {mask.shape}, layer width {layer.out_dim}"
             )
-        out.append(mask)
+        out.append(mask / layer.keep_prob)
     return out
 
 
@@ -367,7 +368,7 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
     """Evaluate the network on one input vector or a batch (rows).
 
     With ``masks`` supplied, each masked layer's output is multiplied by
-    mask / keep_prob (one mask shared across the batch). Returns
+    its scale mask / keep_prob (one mask shared across the batch). Returns
     ``(output, cache)`` where the cache holds every per-layer intermediate
     needed by backprop.
     """
@@ -381,17 +382,16 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
         )
 
     instances = list(spec.layer_instances())
-    layer_masks = _layer_masks(spec, masks)
+    scales = _layer_scales(spec, masks)
     records = []
 
     def step(i, a):
         ikey, wkey, layer, _ = instances[i]
         current = a @ weights.weights[wkey].T + weights.biases[wkey]
         act = softlif_rate(current, params) if layer.activation == "softlif" else current
-        mask = layer_masks[i]
-        if mask is not None:
-            act = act * (mask / layer.keep_prob)
-        records.append(LayerRecord(ikey, wkey, layer, a, current, act, mask))
+        if scales[i] is not None:
+            act = act * scales[i]
+        records.append(LayerRecord(ikey, wkey, layer, a, current, scales[i]))
         return act
 
     h = _traverse(spec, [_gather_slices(spec, enc, x) for enc in spec.encoders], step)
@@ -514,7 +514,7 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
                neuron_params: NeuronParams, kind: str = "analog") -> None:
     """Write a model file. Floats are serialized with shortest round-trip
     precision, so load(save(x)) reproduces every value exactly."""
-    if kind not in ("analog", "spiking"):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     validate(spec)
     validate_weights(spec, weights)
@@ -522,12 +522,7 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "kind": kind,
-        "neuron_params": {
-            "tau_ref": neuron_params.tau_ref,
-            "tau_rc": neuron_params.tau_rc,
-            "v_th": neuron_params.v_th,
-            "gamma": neuron_params.gamma,
-        },
+        "neuron_params": asdict(neuron_params),
         "spec": spec_to_dict(spec),
         "weights": {
             key: {
@@ -542,9 +537,21 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
         f.write("\n")
 
 
+@contextmanager
+def _naming_file(path):
+    """Re-raise a defect of the JSON document read from ``path`` as an
+    InvalidNetworkError that names the file (and the field, if missing)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidNetworkError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidNetworkError(f"{path}: {exc}") from None
+
+
 def load_model(path) -> LoadedModel:
     """Read a model file; any defect is an InvalidNetworkError naming the file."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, _naming_file(path):
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InvalidNetworkError(f"not a {MODEL_FORMAT} file: {path}")
@@ -553,23 +560,16 @@ def load_model(path) -> LoadedModel:
             f"{path}: unsupported format_version {doc.get('format_version')!r} "
             f"(this reader supports {MODEL_FORMAT_VERSION})"
         )
-    try:
+    with _naming_file(path):
+        if doc["kind"] not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {doc['kind']!r}")
         spec = spec_from_dict(doc["spec"])
         validate(spec)
         np_doc = doc["neuron_params"]
-        params = NeuronParams(
-            tau_ref=float(np_doc["tau_ref"]),
-            tau_rc=float(np_doc["tau_rc"]),
-            v_th=float(np_doc["v_th"]),
-            gamma=float(np_doc["gamma"]),
-        )
+        params = NeuronParams(**{f.name: float(np_doc[f.name]) for f in fields(NeuronParams)})
         weights = WeightStore(
             {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},
             {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},
         )
         validate_weights(spec, weights)
         return LoadedModel(doc["kind"], spec, weights, params)
-    except KeyError as exc:
-        raise InvalidNetworkError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InvalidNetworkError(f"{path}: {exc}") from None

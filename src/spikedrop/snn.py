@@ -5,9 +5,9 @@ pass (``network._traverse``), with a LIF step in place of the rate curve.
 Inputs are held as constant injected currents into the first weight layer.
 Each spike deposits an impulse of height 1/dt into the emitting neuron's
 synaptic lowpass filter, so the filtered signal is in Hz and directly
-comparable to the analog activations; downstream layers read the filtered,
-mask-scaled rates. Dropped neurons are frozen: never integrated, never
-filtered, contributing a constant zero.
+comparable to the analog activations. As in ``forward``, each layer's output
+is multiplied by its dropout scale; ``dt <= tau_syn`` keeps every filter
+non-negative, so a dropped neuron contributes exactly ``+0.0`` downstream.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convert import SpikingNetwork
-from .network import InvalidNetworkError, _gather_slices, _layer_masks, _traverse
+from .network import InvalidNetworkError, _gather_slices, _layer_scales, _traverse
 from .neuron import lif_step_arrays
 
 
@@ -27,7 +27,7 @@ class SimConfig:
 
     v0_seed selects heterogeneous initial voltages uniform in [0, v_th),
     which desynchronizes neurons and reduces output ripple; 0 means an
-    all-zero start.
+    all-zero start. A filter (``tau_syn > 0``) needs ``dt <= tau_syn``.
     """
 
     dt: float = 0.001
@@ -45,6 +45,8 @@ class SimConfig:
             raise ValueError("burn_in_steps must lie in [0, n_steps)")
         if self.tau_syn < 0:
             raise ValueError("tau_syn must be >= 0")
+        if 0 < self.tau_syn < self.dt:
+            raise ValueError(f"dt ({self.dt}) must not exceed tau_syn ({self.tau_syn})")
 
 
 @dataclass
@@ -73,20 +75,15 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
         )
 
     instances = list(spec.layer_instances())
-    layers = [layer for _, _, layer, _ in instances]
     w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
     b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
-    layer_masks = _layer_masks(spec, masks)
-    active = [None if m is None else m > 0 for m in layer_masks]
-    scale = [None if m is None else m / layer.keep_prob
-             for m, layer in zip(layer_masks, layers)]
-    spiking = [layer.activation == "softlif" for layer in layers]
+    scales = _layer_scales(spec, masks)
 
-    # per-neuron state of the spiking layers: voltage, refractory clock, filter
+    # per-neuron state of spiking layer i: voltage, refractory clock, filter
     v0_rng = np.random.default_rng(sim.v0_seed) if sim.v0_seed != 0 else None
     v, refr, syn = {}, {}, {}
-    for i, layer in enumerate(layers):
-        if spiking[i]:
+    for i, (_, _, layer, _) in enumerate(instances):
+        if layer.activation == "softlif":
             v[i] = (v0_rng.uniform(0.0, p.v_th, layer.out_dim) if v0_rng is not None
                     else np.zeros(layer.out_dim))
             refr[i] = np.zeros(layer.out_dim)
@@ -97,24 +94,15 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
 
     def step(i, a):
         current = w[i] @ a + b[i]
-        if spiking[i]:
-            v_new, refr_new, spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
-            keep = active[i]
-            if keep is not None:
-                # frozen: dropped neurons keep their state and never spike
-                v[i] = np.where(keep, v_new, v[i])
-                refr[i] = np.where(keep, refr_new, refr[i])
-                spiked = spiked & keep
-            else:
-                v[i] = v_new
-                refr[i] = refr_new
+        if i in v:  # spiking layer
+            v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
             impulse = spiked / dt
             syn[i] = impulse if alpha is None else syn[i] + alpha * (impulse - syn[i])
             out = syn[i]
         else:
             out = current
-        if scale[i] is not None:
-            out = out * scale[i]
+        if scales[i] is not None:
+            out = out * scales[i]
         return out
 
     inputs = [_gather_slices(spec, enc, x) for enc in spec.encoders]  # once, not per tick

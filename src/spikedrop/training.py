@@ -61,8 +61,8 @@ def loss_mse(predictions, targets) -> float:
 def _layer_backward(rec, g_out, weights: WeightStore, grads: WeightStore,
                     params: NeuronParams) -> np.ndarray:
     """Push the gradient through one cached layer; returns grad w.r.t. its input."""
-    if rec.mask is not None:
-        g_out = g_out * (rec.mask / rec.layer.keep_prob)
+    if rec.scale is not None:
+        g_out = g_out * rec.scale
     if rec.layer.activation == "softlif":
         g_cur = g_out * softlif_rate_grad(rec.current, params)
     else:

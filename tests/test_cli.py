@@ -77,6 +77,30 @@ class TestTrain:
             main(["train", "--spec", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"neuron_params": {}}', "missing field 'spec'"),
+        ("spec", "Expecting value"),
+    ], ids=["no-spec", "not-json"])
+    def test_malformed_config_names_file(self, tmp_path, workspace, capsys, text, message):
+        _, data, _, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["train", "--spec", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert f"{config}: {message}" in capsys.readouterr().err
+
+    def test_config_neuron_fields_default_when_omitted(self, tmp_path, workspace):
+        _, data, config, _ = workspace
+        doc = json.loads(config.read_text())
+        doc["neuron_params"] = {"tau_ref": 0.004}
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(doc))
+        model = tmp_path / "m.json"
+        assert main(["train", "--spec", str(partial), "--data", str(data),
+                     "--out", str(model), "--epochs", "1"]) == 0
+        assert json.loads(model.read_text())["neuron_params"] == {
+            "tau_ref": 0.004, "tau_rc": 0.02, "v_th": 1.0, "gamma": 0.02}
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag", [
@@ -89,12 +113,18 @@ class TestUsageErrors:
         (["train", "--epochs", "0"], "--epochs"),
         (["train", "--batch", "0"], "--batch"),
         (["train", "--lr", "0"], "--lr"),
+        (["infer", "--dt", "0.01", "--tausyn", "0.005"], "--tausyn"),
+        (["trace", "--row", "0", "--dt", "0.01", "--tausyn", "0.002"], "--dt"),
+        (["init-spec", "--keep-prob", "0"], "--keep-prob"),
+        (["train", "--test-fraction", "1.5"], "--test-fraction"),
     ], ids=["draws", "burnin-infer", "burnin-trace", "steps", "dt", "tausyn", "epochs",
-            "batch", "lr"])
+            "batch", "lr", "dt-over-tausyn-infer", "dt-over-tausyn-trace", "keep-prob",
+            "test-fraction"])
     def test_out_of_range_flag_exits_2_naming_it(self, argv, flag, capsys):
         files = {"infer": ["--model", "m.json", "--data", "d.csv"],
                  "trace": ["--model", "m.json", "--data", "d.csv"],
-                 "train": ["--spec", "s.json", "--data", "d.csv"]}[argv[0]]
+                 "train": ["--spec", "s.json", "--data", "d.csv"],
+                 "init-spec": []}[argv[0]]
         with pytest.raises(SystemExit) as exc:
             main(argv + files + ["--out", "o"])
         assert exc.value.code == 2
@@ -238,6 +268,23 @@ class TestCompare:
         hist = report["per_observation"][0]["histogram"]
         assert len(hist["bin_edges"]) == 21
         assert sum(hist["counts_analog"]) == 40
+
+    @pytest.mark.parametrize("defect, message", [
+        (lambda rows: rows[:2] + ["0,2,analog"] + rows[3:], "row 3: expected 4 fields, got 3"),
+        (lambda rows: rows + [rows[44]], "row 321: duplicate draw 4 of observation 1"),
+        (lambda rows: rows[:45] + rows[46:], "observation 1: missing draw 5"),
+    ], ids=["short-row", "duplicate-draw", "missing-draw"])
+    def test_malformed_samples_file_names_file_and_row(self, workspace, tmp_path, capsys,
+                                                       defect, message):
+        a = self.make_samples(workspace, tmp_path, 0, "good.csv")
+        lines = a.read_text().splitlines()
+        meta = [l for l in lines if l.startswith("#")]
+        rows = [l for l in lines if not l.startswith("#")]  # header, then 8 x 40 draws
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(meta + [rows[0]] + defect(rows[1:])) + "\n")
+        assert main(["compare", "--a", str(a), "--b", str(bad),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
 
     def test_mismatched_observation_ids(self, workspace, tmp_path):
         a = self.make_samples(workspace, tmp_path, 0, "ma.csv")

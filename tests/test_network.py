@@ -330,6 +330,13 @@ class TestModelFile:
         with pytest.raises(InvalidNetworkError):
             load_model(path)
 
+    def test_non_json_file_names_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(InvalidNetworkError, match="Expecting value") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("spec"), "missing field 'spec'"),
         (lambda doc: doc["spec"]["head"][0].pop("in_dim"), "missing field 'in_dim'"),
@@ -337,8 +344,11 @@ class TestModelFile:
         (lambda doc: doc.update(format_version=7), "format_version 7"),
         (lambda doc: doc.pop("format_version"), "format_version None"),
         (lambda doc: doc["spec"]["head"][0].update(share_tag="t"), "share_tag 't'"),
+        (lambda doc: doc.update(kind="quantum"), "unknown model kind 'quantum'"),
+        (lambda doc: doc.pop("kind"), "missing field 'kind'"),
+        (lambda doc: doc["neuron_params"].pop("gamma"), "missing field 'gamma'"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
-            "layer-share_tag"])
+            "layer-share_tag", "kind-quantum", "no-kind", "no-gamma"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spikedrop.convert import convert
@@ -54,10 +54,11 @@ def rate_bank_net(currents):
 
 
 @st.composite
-def linear_networks(draw):
-    """Specs with only linear layers: towers over one or two slices, some
-    passthrough, some shared by a pair of encoders, then a head of one to
-    three layers whose hidden layers may drop out."""
+def dropout_networks(draw, activation="linear"):
+    """Specs whose hidden layers all have ``activation``: towers over one or
+    two slices, some passthrough, some shared by a pair of encoders, then a
+    head of one to three layers whose hidden layers may drop out and whose
+    output layer is linear."""
     keep = st.sampled_from([0.5, 0.8, 1.0])
     slices, encoders = [], []
 
@@ -73,7 +74,7 @@ def linear_networks(draw):
         widths = draw(st.lists(st.integers(1, 4), max_size=2))
         layers, in_dim = [], sum(lengths)
         for width in widths:
-            layers.append(LayerSpec(in_dim, width, "linear", draw(keep)))
+            layers.append(LayerSpec(in_dim, width, activation, draw(keep)))
             in_dim = width
         copies = draw(st.integers(1, 2)) if layers else 1
         tag = f"t{t}" if copies == 2 else None
@@ -83,7 +84,7 @@ def linear_networks(draw):
     spec = NetworkSpec(input_slices=slices, encoders=encoders, head=[], output_dim=0)
     in_dim = sum(spec.encoder_output_dim(enc) for enc in encoders)
     for width in draw(st.lists(st.integers(1, 4), max_size=2)):
-        spec.head.append(LayerSpec(in_dim, width, "linear", draw(keep)))
+        spec.head.append(LayerSpec(in_dim, width, activation, draw(keep)))
         in_dim = width
     spec.output_dim = draw(st.integers(1, 2))
     spec.head.append(LayerSpec(in_dim, spec.output_dim, "linear"))
@@ -101,10 +102,16 @@ class TestSimConfig:
         dict(n_steps=0),
         dict(burn_in_steps=1000),
         dict(tau_syn=-0.001),
+        dict(dt=0.01, tau_syn=0.005),  # filter gain dt/tau_syn = 2 never decays
+        dict(dt=0.01, tau_syn=0.002),  # gain 5 diverges
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_filter_rule_boundaries_accepted(self):
+        SimConfig(dt=0.005, tau_syn=0.005)  # gain 1: the filter passes impulses through
+        SimConfig(dt=0.01, tau_syn=0.0)     # no filter
 
 
 class TestSimulate:
@@ -252,7 +259,7 @@ class TestSimulate:
         assert np.all(trace.values == 0.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(spec=linear_networks(), seed=st.integers(0, 2 ** 32 - 1))
+    @given(spec=dropout_networks(), seed=st.integers(0, 2 ** 32 - 1))
     @example(spec=NetworkSpec(
         input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3), ("r", 8, 1)],
         encoders=[EncoderSpec(["r", "c"], [LayerSpec(3, 4, "linear", 0.5)]),
@@ -272,6 +279,40 @@ class TestSimulate:
         analog, _ = forward(spec, w, x, masks, P)
         trace = simulate(net, x, masks, SimConfig(n_steps=4, burn_in_steps=0))
         assert np.allclose(trace.values, analog, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=dropout_networks("softlif"), seed=st.integers(0, 2 ** 32 - 1),
+           spread=st.floats(0.1, 1e3))
+    @example(spec=NetworkSpec(
+        input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3)],
+        encoders=[EncoderSpec(["c"], [LayerSpec(2, 4, "softlif", 0.5)]),
+                  EncoderSpec(["a"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d"),
+                  EncoderSpec(["b"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d")],
+        head=[LayerSpec(16, 8, "softlif", 0.5), LayerSpec(8, 1, "linear")],
+        output_dim=1,
+    ), seed=5, spread=30.0)
+    def test_incoming_weights_of_dropped_neurons_leave_trace_bitwise_unchanged(
+            self, spec, seed, spread):
+        # a dropped spiking neuron contributes syn * 0.0 == +0.0 whatever it
+        # integrates; a shared row may change only if every tower drops it
+        w = init_weights(spec, seed=seed)
+        masks = sample_masks(spec, seed)
+        dropped = {}
+        for ikey, wkey, layer, _ in spec.layer_instances():
+            if layer.activation == "softlif":
+                off = masks[ikey] == 0
+                dropped[wkey] = dropped[wkey] & off if wkey in dropped else off
+        assume(any(off.any() for off in dropped.values()))
+        rng = np.random.default_rng(seed)
+        edited = w.copy()
+        for wkey, off in dropped.items():
+            edited.weights[wkey][off] = rng.normal(0.0, spread, edited.weights[wkey][off].shape)
+            edited.biases[wkey][off] = rng.normal(0.0, spread, off.sum())
+        x = rng.normal(size=spec.input_dim)
+        sim = SimConfig(n_steps=60, burn_in_steps=0)
+        trace = simulate(convert(spec, w, P), x, masks, sim)
+        edited_trace = simulate(convert(spec, edited, P), x, masks, sim)
+        assert np.array_equal(trace.values, edited_trace.values)
 
     def test_mixed_passthrough_and_spiking_encoders(self):
         spec = NetworkSpec(
