@@ -43,7 +43,10 @@ _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 def _neuron_params_from_dict(d) -> NeuronParams:
     """Neuron constants from a config file; an omitted field keeps its default."""
     d = d or {}
-    return NeuronParams(**{f.name: float(d[f.name]) for f in fields(NeuronParams) if f.name in d})
+    unknown = set(d) - {f.name for f in fields(NeuronParams)}
+    if unknown:
+        raise ValueError(f"unknown neuron_params field {min(unknown)!r}")
+    return NeuronParams(**{key: float(value) for key, value in d.items()})
 
 
 def _load_network_config(path):
@@ -67,7 +70,7 @@ def _add_sim_flags(parser):
                         help="ticks discarded before averaging the output potential")
     parser.add_argument("--tausyn", type=_NONNEGATIVE_FLOAT, default=0.005,
                         help="synaptic lowpass time constant in seconds")
-    parser.add_argument("--v0-seed", type=int, default=1,
+    parser.add_argument("--v0-seed", type=_NONNEGATIVE_INT, default=1,
                         help="seed for heterogeneous initial voltages (0 = all-zero start)")
 
 
@@ -120,13 +123,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
+def _load_model_and_data(args):
+    """The model and dataset files of ``infer`` and ``trace``, checked to agree
+    in width before any work starts."""
     model = network.load_model(args.model)
     dataset = data_mod.load_csv(args.data, target_column=args.target)
     if dataset.n_features != model.spec.input_dim:
-        raise ValueError(
-            f"data has {dataset.n_features} features, model wants {model.spec.input_dim}"
-        )
+        raise ValueError(f"{args.data} has {dataset.n_features} features, "
+                         f"model {args.model} wants {model.spec.input_dim}")
+    return model, dataset
+
+
+def cmd_infer(args) -> int:
+    model, dataset = _load_model_and_data(args)
     sim = _sim_from_args(args)
     n_obs = len(dataset)
     sample_sets = [
@@ -156,8 +165,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    model = network.load_model(args.model)
-    dataset = data_mod.load_csv(args.data, target_column=args.target)
+    model, dataset = _load_model_and_data(args)
     if not (0 <= args.row < len(dataset)):
         raise ValueError(f"row {args.row} out of range [0, {len(dataset)})")
     observation = dataset.features[args.row]
@@ -246,20 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic two-drug dataset CSV")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--cell-dim", type=int, default=8)
-    p.add_argument("--drug-dim", type=int, default=8)
+    p.add_argument("--n", type=_POSITIVE_INT, default=2000)
+    p.add_argument("--cell-dim", type=_POSITIVE_INT, default=8)
+    p.add_argument("--drug-dim", type=_POSITIVE_INT, default=8)
     p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("init-spec", help="write a two-drug network config JSON")
-    p.add_argument("--cell-dim", type=int, default=8)
-    p.add_argument("--drug-dim", type=int, default=8)
-    p.add_argument("--cell-hidden", type=int, default=16)
-    p.add_argument("--drug-hidden", type=int, default=16)
-    p.add_argument("--head-hidden", type=int, default=32,
+    p.add_argument("--cell-dim", type=_POSITIVE_INT, default=8)
+    p.add_argument("--drug-dim", type=_POSITIVE_INT, default=8)
+    p.add_argument("--cell-hidden", type=_POSITIVE_INT, default=16)
+    p.add_argument("--drug-hidden", type=_POSITIVE_INT, default=16)
+    p.add_argument("--head-hidden", type=_NONNEGATIVE_INT, default=32,
                    help="hidden head width; 0 = affine readout directly on the towers")
     p.add_argument("--keep-prob", type=_KEEP_PROB, default=0.9)
     p.add_argument("--tau-ref", type=float, default=0.002)
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_POSITIVE_INT, default=150)
     p.add_argument("--batch", type=_POSITIVE_INT, default=32)
     p.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     p.add_argument("--test-fraction", type=_FRACTION, default=0.2)
     p.add_argument("--history", default=None,
                    help="loss history CSV (default: <out>.history.csv)")
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="target")
     p.add_argument("--backend", choices=mcinfer.BACKENDS, default="analog")
     p.add_argument("--draws", type=_POSITIVE_INT, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     _add_sim_flags(p)
     p.set_defaults(func=cmd_infer)
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", default="target")
     p.add_argument("--row", type=int, required=True)
-    p.add_argument("--mask-seed", type=int, default=None,
+    p.add_argument("--mask-seed", type=_NONNEGATIVE_INT, default=None,
                    help="dropout mask seed (omit for a mask-free run)")
     p.add_argument("--out", required=True)
     _add_sim_flags(p)

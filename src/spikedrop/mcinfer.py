@@ -5,20 +5,22 @@ reproducible and order-independent, and an analog and a spiking run given the
 same base seed evaluate the same mask sequence. The cross-backend comparison
 is then a paired comparison of the two evaluators. Each spiking draw is an
 independent simulation run and starts from its own initial-voltage draw
-(seed ``v0_seed + k``); ``v0_seed = 0`` keeps every run at the all-zero start.
+(seed ``v0_seed + k``, applied by the simulator); ``v0_seed = 0`` keeps every
+run at the all-zero start. The spiking draws of one observation are simulated
+together in one batched run.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convert import convert
 from .network import NetworkSpec, WeightStore, forward, sample_masks
 from .neuron import NeuronParams
-from .snn import SimConfig, simulate, summarize_trace
+from .snn import SimConfig, _draw_means
 
 BACKENDS = ("analog", "spiking")
 
@@ -40,8 +42,9 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
                             observation_id: int = 0) -> SampleSet:
     """Build a predictive distribution from repeated masked evaluations.
 
-    analog: masked forward passes. spiking: one simulation per mask, each
-    summarized by its post-burn-in mean. Deterministic given base_seed.
+    analog: masked forward passes. spiking: one simulation per mask, all
+    stepped together, each summarized by its post-burn-in mean.
+    Deterministic given base_seed.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -51,17 +54,12 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
         raise ValueError("predictive draws are scalars; output_dim must be 1")
 
     obs = np.asarray(observation, dtype=float)
-    draws = np.empty(n_draws)
     if backend == "spiking":
-        net = convert(spec, weights, params)
-        if sim is None:
-            sim = SimConfig()
-        for k in range(n_draws):
-            masks = sample_masks(spec, base_seed + k)
-            sim_k = replace(sim, v0_seed=sim.v0_seed + k) if sim.v0_seed != 0 else sim
-            trace = simulate(net, obs, masks, sim_k)
-            draws[k] = summarize_trace(trace, sim.burn_in_steps)
+        mask_sets = (sample_masks(spec, base_seed + k) for k in range(n_draws))
+        draws = _draw_means(convert(spec, weights, params), obs, mask_sets,
+                            SimConfig() if sim is None else sim)
     else:
+        draws = np.empty(n_draws)
         for k in range(n_draws):
             masks = sample_masks(spec, base_seed + k)
             out, _ = forward(spec, weights, obs, masks, params)

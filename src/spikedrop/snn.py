@@ -1,4 +1,4 @@
-"""Clock-driven simulation of the spiking network under one fixed drop-mask.
+"""Clock-driven simulation of the spiking network, one run per fixed drop-mask.
 
 Each tick walks the network with the same traversal as the analog forward
 pass (``network._traverse``), with a LIF step in place of the rate curve.
@@ -8,11 +8,18 @@ synaptic lowpass filter, so the filtered signal is in Hz and directly
 comparable to the analog activations. As in ``forward``, each layer's output
 is multiplied by its dropout scale; ``dt <= tau_syn`` keeps every filter
 non-negative, so a dropped neuron contributes exactly ``+0.0`` downstream.
+
+The Monte-Carlo draws of one observation are stepped together: one batched
+core (``_simulate_block``) holds each layer's state as a (draws, width)
+array, one row per mask set, and owns the initial-voltage seed rule (draw k
+from ``v0_seed + k``). ``simulate`` is its one-draw case; ``_draw_means``
+feeds it blocks of at most ``_BLOCK_DRAWS`` draws and summarizes each draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,14 +27,18 @@ from .convert import SpikingNetwork
 from .network import InvalidNetworkError, _gather_slices, _layer_scales, _traverse
 from .neuron import lif_step_arrays
 
+# the most draws stepped together; bounds memory whatever the draw count
+_BLOCK_DRAWS = 256
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls.
 
     v0_seed selects heterogeneous initial voltages uniform in [0, v_th),
-    which desynchronizes neurons and reduces output ripple; 0 means an
-    all-zero start. A filter (``tau_syn > 0``) needs ``dt <= tau_syn``.
+    which desynchronizes neurons and reduces output ripple (draw k of a batch
+    uses ``v0_seed + k``); 0 means an all-zero start. A filter
+    (``tau_syn > 0``) needs ``dt <= tau_syn``.
     """
 
     dt: float = 0.001
@@ -66,6 +77,37 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
     ``masks=None`` runs the network without dropout (the deterministic
     spiking analog of a mask-free forward pass).
     """
+    trace = _simulate_block(net, input, [masks], sim, first_draw=0)[0]
+    values = trace[:, 0] if net.spec.output_dim == 1 else trace
+    return OutputTrace(values=values, dt=sim.dt)
+
+
+def _draw_means(net: SpikingNetwork, input, mask_sets, sim: SimConfig) -> np.ndarray:
+    """Post-burn-in mean output of one simulation per mask set (draw k is the
+    k-th item of the iterable ``mask_sets``), for a scalar-output network.
+
+    Draws are stepped together in blocks of at most ``_BLOCK_DRAWS``, so
+    memory does not grow with the number of draws; each draw's tail is
+    reduced as ``summarize_trace`` reduces it.
+    """
+    mask_sets = iter(mask_sets)
+    means = []
+    while block := list(islice(mask_sets, _BLOCK_DRAWS)):
+        traces = _simulate_block(net, input, block, sim, first_draw=len(means))
+        means.extend(traces[:, sim.burn_in_steps:, 0].mean(axis=1))
+    return np.array(means)
+
+
+def _simulate_block(net: SpikingNetwork, input, mask_sets: list, sim: SimConfig,
+                    first_draw: int) -> np.ndarray:
+    """Step one LIF network per mask set in lockstep, as one network whose
+    state is a (draws, width) array per spiking layer.
+
+    Row k is draw ``first_draw + k``: it starts from the initial voltages of
+    ``default_rng(sim.v0_seed + first_draw + k)``, drawn layer by layer in
+    layer_instances order (all zero when ``v0_seed`` is 0). Returns the
+    output potentials, shape (draws, n_steps, output_dim).
+    """
     spec = net.spec
     p = net.neuron_params
     x = np.asarray(input, dtype=float)
@@ -74,26 +116,31 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
             f"input has shape {x.shape}, spec wants ({spec.input_dim},)"
         )
 
+    n = len(mask_sets)
     instances = list(spec.layer_instances())
     w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
     b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
-    scales = _layer_scales(spec, masks)
+    per_draw = [_layer_scales(spec, masks) for masks in mask_sets]
+    scales = [None if all(s[i] is None for s in per_draw)
+              else np.stack([np.ones(layer.out_dim) if s[i] is None else s[i] for s in per_draw])
+              for i, (_, _, layer, _) in enumerate(instances)]
 
     # per-neuron state of spiking layer i: voltage, refractory clock, filter
-    v0_rng = np.random.default_rng(sim.v0_seed) if sim.v0_seed != 0 else None
-    v, refr, syn = {}, {}, {}
-    for i, (_, _, layer, _) in enumerate(instances):
-        if layer.activation == "softlif":
-            v[i] = (v0_rng.uniform(0.0, p.v_th, layer.out_dim) if v0_rng is not None
-                    else np.zeros(layer.out_dim))
-            refr[i] = np.zeros(layer.out_dim)
-            syn[i] = np.zeros(layer.out_dim)
+    spiking = [i for i, (_, _, layer, _) in enumerate(instances) if layer.activation == "softlif"]
+    v = {i: np.zeros((n, instances[i][2].out_dim)) for i in spiking}
+    refr = {i: np.zeros_like(v[i]) for i in spiking}
+    syn = {i: np.zeros_like(v[i]) for i in spiking}
+    if sim.v0_seed != 0:
+        for k in range(n):
+            v0_rng = np.random.default_rng(sim.v0_seed + first_draw + k)
+            for i in spiking:
+                v[i][k] = v0_rng.uniform(0.0, p.v_th, v[i].shape[1])
 
     dt = sim.dt
     alpha = dt / sim.tau_syn if sim.tau_syn > 0 else None
 
     def step(i, a):
-        current = w[i] @ a + b[i]
+        current = a @ w[i].T + b[i]
         if i in v:  # spiking layer
             v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
             impulse = spiked / dt
@@ -105,15 +152,16 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
             out = out * scales[i]
         return out
 
-    inputs = [_gather_slices(spec, enc, x) for enc in spec.encoders]  # once, not per tick
-    trace = np.empty((sim.n_steps, spec.output_dim))
+    # every draw sees the same input; gathered once, not per tick
+    rows = np.broadcast_to(x, (n, x.size))
+    inputs = [_gather_slices(spec, enc, rows) for enc in spec.encoders]
+    traces = np.empty((n, sim.n_steps, spec.output_dim))
     for t in range(sim.n_steps):
-        trace[t] = _traverse(spec, inputs, step)
+        traces[:, t] = _traverse(spec, inputs, step)
 
-    if not np.isfinite(trace).all():
+    if not np.isfinite(traces).all():
         raise FloatingPointError("non-finite output potential in trace")
-    values = trace[:, 0] if spec.output_dim == 1 else trace
-    return OutputTrace(values=values, dt=dt)
+    return traces
 
 
 def summarize_trace(trace: OutputTrace, burn_in_steps: int):

@@ -89,6 +89,16 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")]) == 1
         assert f"{config}: {message}" in capsys.readouterr().err
 
+    def test_unknown_neuron_field_names_file(self, tmp_path, workspace, capsys):
+        _, data, config, _ = workspace
+        doc = json.loads(config.read_text())
+        doc["neuron_params"] = {"tau-ref": 0.5}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["train", "--spec", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert f"{bad}: unknown neuron_params field 'tau-ref'" in capsys.readouterr().err
+
     def test_config_neuron_fields_default_when_omitted(self, tmp_path, workspace):
         _, data, config, _ = workspace
         doc = json.loads(config.read_text())
@@ -117,18 +127,44 @@ class TestUsageErrors:
         (["trace", "--row", "0", "--dt", "0.01", "--tausyn", "0.002"], "--dt"),
         (["init-spec", "--keep-prob", "0"], "--keep-prob"),
         (["train", "--test-fraction", "1.5"], "--test-fraction"),
+        (["infer", "--seed", "-5"], "--seed"),
+        (["infer", "--v0-seed", "-3"], "--v0-seed"),
+        (["trace", "--row", "0", "--mask-seed", "-1"], "--mask-seed"),
+        (["synth", "--seed", "-1"], "--seed"),
+        (["train", "--seed", "-2"], "--seed"),
+        (["synth", "--n", "0"], "--n"),
+        (["synth", "--drug-dim", "0"], "--drug-dim"),
+        (["init-spec", "--cell-hidden", "0"], "--cell-hidden"),
+        (["init-spec", "--head-hidden", "-1"], "--head-hidden"),
     ], ids=["draws", "burnin-infer", "burnin-trace", "steps", "dt", "tausyn", "epochs",
             "batch", "lr", "dt-over-tausyn-infer", "dt-over-tausyn-trace", "keep-prob",
-            "test-fraction"])
+            "test-fraction", "seed-infer", "v0-seed", "mask-seed", "seed-synth", "seed-train",
+            "n", "drug-dim", "cell-hidden", "head-hidden"])
     def test_out_of_range_flag_exits_2_naming_it(self, argv, flag, capsys):
         files = {"infer": ["--model", "m.json", "--data", "d.csv"],
                  "trace": ["--model", "m.json", "--data", "d.csv"],
                  "train": ["--spec", "s.json", "--data", "d.csv"],
-                 "init-spec": []}[argv[0]]
+                 "synth": [], "init-spec": []}[argv[0]]
         with pytest.raises(SystemExit) as exc:
             main(argv + files + ["--out", "o"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+class TestDataWidth:
+    @pytest.mark.parametrize("command", [["infer"], ["trace", "--row", "0"]],
+                             ids=["infer", "trace"])
+    def test_mismatch_names_both_files(self, workspace, tmp_path, capsys, command):
+        _, _, _, model = workspace
+        narrow = tmp_path / "narrow.csv"
+        assert main(["synth", "--n", "5", "--cell-dim", "2", "--drug-dim", "2",
+                     "--out", str(narrow)]) == 0
+        capsys.readouterr()
+        assert main(command + ["--model", str(model), "--data", str(narrow),
+                               "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{narrow} has 6 features, model {model} wants 9" in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestInfer:

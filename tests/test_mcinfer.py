@@ -118,6 +118,15 @@ class TestPredictiveDistribution:
         assert np.array_equal(a.draws, b.draws)
         assert a.backend == "spiking"
 
+    def test_spiking_draws_independent_of_draw_count(self):
+        # draw k depends on its seeds alone, not on how many draws share its batch
+        spec, weights = four_neuron_net(keep_prob=0.5)
+        obs = np.array([0.6, 0.3])
+        sim = SimConfig(n_steps=150, burn_in_steps=30, v0_seed=9)
+        five = predictive_distribution(spec, weights, P, obs, 5, 17, "spiking", sim)
+        twelve = predictive_distribution(spec, weights, P, obs, 12, 17, "spiking", sim)
+        assert np.array_equal(five.draws, twelve.draws[:5])
+
     def test_rejects_bad_arguments(self):
         spec, weights = four_neuron_net()
         obs = np.array([0.0, 0.0])

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spikedrop.convert import convert
+from spikedrop.mcinfer import predictive_distribution
 from spikedrop.network import (
     DropMasks,
     EncoderSpec,
@@ -15,7 +18,14 @@ from spikedrop.network import (
     single_tower,
 )
 from spikedrop.neuron import NeuronParams, lif_rate
-from spikedrop.snn import OutputTrace, SimConfig, simulate, summarize_trace, write_trace
+from spikedrop.snn import (
+    _BLOCK_DRAWS,
+    OutputTrace,
+    SimConfig,
+    simulate,
+    summarize_trace,
+    write_trace,
+)
 
 P = NeuronParams()
 
@@ -54,11 +64,11 @@ def rate_bank_net(currents):
 
 
 @st.composite
-def dropout_networks(draw, activation="linear"):
+def dropout_networks(draw, activation="linear", max_output_dim=2):
     """Specs whose hidden layers all have ``activation``: towers over one or
     two slices, some passthrough, some shared by a pair of encoders, then a
     head of one to three layers whose hidden layers may drop out and whose
-    output layer is linear."""
+    output layer is linear, 1 to ``max_output_dim`` wide."""
     keep = st.sampled_from([0.5, 0.8, 1.0])
     slices, encoders = [], []
 
@@ -86,7 +96,7 @@ def dropout_networks(draw, activation="linear"):
     for width in draw(st.lists(st.integers(1, 4), max_size=2)):
         spec.head.append(LayerSpec(in_dim, width, activation, draw(keep)))
         in_dim = width
-    spec.output_dim = draw(st.integers(1, 2))
+    spec.output_dim = draw(st.integers(1, max_output_dim))
     spec.head.append(LayerSpec(in_dim, spec.output_dim, "linear"))
     return spec
 
@@ -243,8 +253,39 @@ class TestSimulate:
         assert not np.array_equal(t0.values, t1.values)
         assert summarize_trace(t0, 500) == pytest.approx(summarize_trace(t1, 500), rel=0.05)
 
-    def test_dropped_neurons_frozen(self):
-        # dropping every neuron silences the network entirely
+    @pytest.mark.parametrize("v0_seed", [1, 12345])
+    def test_initial_voltages_follow_seed_rule(self, v0_seed):
+        # neurons at a constant drive, each read out on its own output: the
+        # first spike tick of each follows from its initial voltage, drawn
+        # from default_rng(v0_seed) layer by layer in traversal order
+        spec = NetworkSpec(
+            input_slices=[("x", 0, 1)],
+            encoders=[EncoderSpec(["x"], [LayerSpec(1, 2, "softlif")]),
+                      EncoderSpec(["x"], [LayerSpec(1, 1, "softlif")])],
+            head=[LayerSpec(3, 3, "linear")],
+            output_dim=3,
+        )
+        w = init_weights(spec, seed=0)
+        for key in ("enc0:0", "enc1:0"):
+            w.weights[key][:] = 0.0
+            w.biases[key][:] = 1.5
+        w.weights["head:0"][:] = np.eye(3)
+        w.biases["head:0"][:] = 0.0
+        sim = SimConfig(n_steps=40, burn_in_steps=0, tau_syn=0.0, v0_seed=v0_seed)
+        trace = simulate(convert(spec, w, P), np.array([0.0]), None, sim)
+
+        rng = np.random.default_rng(v0_seed)
+        v0 = np.concatenate([rng.uniform(0.0, P.v_th, 2), rng.uniform(0.0, P.v_th, 1)])
+        decay = np.exp(-sim.dt / P.tau_rc)
+        for j, v in enumerate(v0):
+            tick = 0
+            while 1.5 + (v - 1.5) * decay < P.v_th:
+                v = 1.5 + (v - 1.5) * decay
+                tick += 1
+            assert np.flatnonzero(trace.values[:, j])[0] == tick
+
+    def test_all_dropped_layer_gives_zero_trace(self):
+        # dropping every neuron of the only hidden layer silences the network
         spec = NetworkSpec(
             input_slices=[("x", 0, 1)],
             encoders=[EncoderSpec(["x"], [LayerSpec(1, 3, "softlif", 0.5)])],
@@ -344,6 +385,82 @@ class TestSimulate:
         masks = DropMasks({"enc0:0": np.ones(2)})
         with pytest.raises(Exception, match="mask"):
             simulate(net, np.array([1.0]), masks, SimConfig())
+
+
+def per_draw_means(net, x, mask_sets, sim):
+    """The per-draw reference of a spiking predictive distribution: one
+    simulate per mask set, draw k starting from v0 seed v0_seed + k."""
+    return np.array([
+        summarize_trace(simulate(net, x, masks, replace(sim, v0_seed=sim.v0_seed + k)
+                                 if sim.v0_seed != 0 else sim), sim.burn_in_steps)
+        for k, masks in enumerate(mask_sets)
+    ])
+
+
+class TestBatchedDraws:
+    """Spiking predictive draws step every draw of an observation together;
+    per-draw simulate is the reference. Batched matmuls sum in another order,
+    so draws agree to 1e-12, and bitwise where every matmul is one product."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=dropout_networks("softlif", max_output_dim=1),
+           seed=st.integers(0, 2 ** 32 - 1), n_draws=st.integers(1, 6),
+           v0_seed=st.sampled_from([0, 1, 2 ** 31]), tau_syn=st.sampled_from([0.0, 0.005]))
+    @example(spec=NetworkSpec(
+        input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3)],
+        encoders=[EncoderSpec(["c"], [LayerSpec(2, 4, "softlif", 0.5)]),
+                  EncoderSpec(["a"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d"),
+                  EncoderSpec(["b"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d")],
+        head=[LayerSpec(16, 8, "softlif", 0.5), LayerSpec(8, 1, "linear")],
+        output_dim=1,
+    ), seed=5, n_draws=6, v0_seed=1, tau_syn=0.005)
+    def test_draws_match_per_draw_simulation(self, spec, seed, n_draws, v0_seed, tau_syn):
+        w = init_weights(spec, seed=seed)
+        x = np.random.default_rng(seed).normal(size=spec.input_dim)
+        sim = SimConfig(n_steps=40, burn_in_steps=10, tau_syn=tau_syn, v0_seed=v0_seed)
+        got = predictive_distribution(spec, w, P, x, n_draws, seed, "spiking", sim).draws
+        masks = [sample_masks(spec, seed + k) for k in range(n_draws)]
+        want = per_draw_means(convert(spec, w, P), x, masks, sim)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_draw_count_crossing_the_block_size(self):
+        spec = NetworkSpec(
+            input_slices=[("x", 0, 2)],
+            encoders=[EncoderSpec(["x"], [LayerSpec(2, 6, "softlif", 0.5)])],
+            head=[LayerSpec(6, 1, "linear")],
+            output_dim=1,
+        )
+        w = init_weights(spec, seed=3)
+        x = np.array([0.9, 0.4])
+        sim = SimConfig(n_steps=20, burn_in_steps=5, v0_seed=7)
+        n_draws = _BLOCK_DRAWS + 44
+        got = predictive_distribution(spec, w, P, x, n_draws, 11, "spiking", sim).draws
+        masks = [sample_masks(spec, 11 + k) for k in range(n_draws)]
+        want = per_draw_means(convert(spec, w, P), x, masks, sim)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_width_one_chain_matches_per_draw_bitwise(self):
+        # every matmul is one product, so summation order cannot differ and
+        # the draws pin the mask and v0 seed rules bit for bit
+        spec = NetworkSpec(
+            input_slices=[("x", 0, 1)],
+            encoders=[EncoderSpec(["x"], [LayerSpec(1, 1, "softlif", 0.8),
+                                          LayerSpec(1, 1, "softlif", 0.8)])],
+            head=[LayerSpec(1, 1, "softlif", 0.8), LayerSpec(1, 1, "linear")],
+            output_dim=1,
+        )
+        w = init_weights(spec, seed=0)
+        for key in ("enc0:0", "enc0:1", "head:0"):
+            w.weights[key][:] = 0.004
+            w.biases[key][:] = 1.5
+        w.weights["head:1"][:] = 0.3
+        x = np.array([2.0])
+        sim = SimConfig(n_steps=120, burn_in_steps=20, v0_seed=5)
+        got = predictive_distribution(spec, w, P, x, 12, 40, "spiking", sim).draws
+        masks = [sample_masks(spec, 40 + k) for k in range(12)]
+        want = per_draw_means(convert(spec, w, P), x, masks, sim)
+        assert len(np.unique(got)) > 2  # the draws differ: masks and v0 act
+        assert np.array_equal(got, want)
 
 
 class TestSummarizeTrace:
