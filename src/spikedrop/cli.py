@@ -166,8 +166,8 @@ def cmd_infer(args) -> int:
 
 def cmd_trace(args) -> int:
     model, dataset = _load_model_and_data(args)
-    if not (0 <= args.row < len(dataset)):
-        raise ValueError(f"row {args.row} out of range [0, {len(dataset)})")
+    if args.row >= len(dataset):
+        raise ValueError(f"{args.data}: row {args.row} out of range [0, {len(dataset)})")
     observation = dataset.features[args.row]
     sim = _sim_from_args(args)
 
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_POSITIVE_INT, default=2000)
     p.add_argument("--cell-dim", type=_POSITIVE_INT, default=8)
     p.add_argument("--drug-dim", type=_POSITIVE_INT, default=8)
-    p.add_argument("--noise-std", type=float, default=0.1)
+    p.add_argument("--noise-std", type=_NONNEGATIVE_FLOAT, default=0.1)
     p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -270,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-hidden", type=_NONNEGATIVE_INT, default=32,
                    help="hidden head width; 0 = affine readout directly on the towers")
     p.add_argument("--keep-prob", type=_KEEP_PROB, default=0.9)
-    p.add_argument("--tau-ref", type=float, default=0.002)
-    p.add_argument("--tau-rc", type=float, default=0.02)
-    p.add_argument("--v-th", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.02)
+    p.add_argument("--tau-ref", type=_NONNEGATIVE_FLOAT, default=0.002)
+    p.add_argument("--tau-rc", type=_POSITIVE_FLOAT, default=0.02)
+    p.add_argument("--v-th", type=_POSITIVE_FLOAT, default=1.0)
+    p.add_argument("--gamma", type=_POSITIVE_FLOAT, default=0.02)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init_spec)
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--target", default="target")
-    p.add_argument("--row", type=int, required=True)
+    p.add_argument("--row", type=_NONNEGATIVE_INT, required=True)
     p.add_argument("--mask-seed", type=_NONNEGATIVE_INT, default=None,
                    help="dropout mask seed (omit for a mask-free run)")
     p.add_argument("--out", required=True)

@@ -6,8 +6,10 @@ same base seed evaluate the same mask sequence. The cross-backend comparison
 is then a paired comparison of the two evaluators. Each spiking draw is an
 independent simulation run and starts from its own initial-voltage draw
 (seed ``v0_seed + k``, applied by the simulator); ``v0_seed = 0`` keeps every
-run at the all-zero start. The spiking draws of one observation are simulated
-together in one batched run.
+run at the all-zero start. Both backends evaluate the draws of one
+observation in blocks of at most ``_BLOCK_DRAWS``, each block's dropout
+scales drawn in one call: the analog draws of a block are one batched forward
+pass, the spiking draws one batched simulation.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convert import convert
-from .network import NetworkSpec, WeightStore, forward, sample_masks
+from .network import InvalidNetworkError, NetworkSpec, WeightStore, _draw_scales, _forward
 from .neuron import NeuronParams
 from .snn import SimConfig, _draw_means
 
 BACKENDS = ("analog", "spiking")
+
+# the most draws evaluated together; bounds memory whatever the draw count
+_BLOCK_DRAWS = 256
 
 
 @dataclass
@@ -42,9 +47,9 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
                             observation_id: int = 0) -> SampleSet:
     """Build a predictive distribution from repeated masked evaluations.
 
-    analog: masked forward passes. spiking: one simulation per mask, all
-    stepped together, each summarized by its post-burn-in mean.
-    Deterministic given base_seed.
+    analog: masked forward passes. spiking: one simulation per mask, each
+    summarized by its post-burn-in mean. The draws of a block are evaluated
+    together. Deterministic given base_seed.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -52,18 +57,24 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
         raise ValueError(f"unknown backend {backend!r}")
     if spec.output_dim != 1:
         raise ValueError("predictive draws are scalars; output_dim must be 1")
-
     obs = np.asarray(observation, dtype=float)
+    if obs.shape != (spec.input_dim,):
+        raise InvalidNetworkError(
+            f"observation has shape {obs.shape}, spec wants ({spec.input_dim},)"
+        )
+
     if backend == "spiking":
-        mask_sets = (sample_masks(spec, base_seed + k) for k in range(n_draws))
-        draws = _draw_means(convert(spec, weights, params), obs, mask_sets,
-                            SimConfig() if sim is None else sim)
-    else:
-        draws = np.empty(n_draws)
-        for k in range(n_draws):
-            masks = sample_masks(spec, base_seed + k)
-            out, _ = forward(spec, weights, obs, masks, params)
-            draws[k] = out[0]
+        net = convert(spec, weights, params)
+        sim = SimConfig() if sim is None else sim
+    draws = np.empty(n_draws)
+    for first in range(0, n_draws, _BLOCK_DRAWS):
+        n = min(_BLOCK_DRAWS, n_draws - first)
+        scales = _draw_scales(spec, range(base_seed + first, base_seed + first + n))
+        if backend == "spiking":
+            draws[first:first + n] = _draw_means(net, obs, scales, sim, first, n)
+        else:
+            rows = np.broadcast_to(obs, (n, obs.size))
+            draws[first:first + n] = _forward(spec, weights, rows, scales, params).output[:, 0]
 
     if not np.isfinite(draws).all():
         raise FloatingPointError("non-finite prediction draw")

@@ -4,13 +4,17 @@ A network is a set of input slices feeding encoder towers whose outputs are
 concatenated into a head stack. Encoders carrying the same ``share_tag`` reuse
 one parameter set (e.g. one tower applied to each drug of a pair); this is
 the only form of weight sharing. Dropout acts in one way only: a layer's
-output is multiplied by its inverted-dropout scale ``mask / keep_prob``
-(``_layer_scales``), so the deterministic pass, the masked analog pass, the
-gradient and the spiking simulation all operate on the same activation scale.
+output is multiplied by its inverted-dropout scale ``mask / keep_prob``, so
+the deterministic pass, the masked analog pass, the gradient and the spiking
+simulation all operate on the same activation scale. Scales come either from
+a caller's mask set (``_layer_scales``, which checks it) or straight from
+mask seeds, a block of draws at a time (``_draw_scales``). The mask seed
+rule is written once, in ``_draw_keep``; ``sample_masks`` is its one-seed
+case.
 
 One private traversal (``_traverse``) walks the towers and the head for both
-backends: ``forward`` runs it with the analog layer step and ``snn.simulate``
-with the LIF layer step.
+backends: ``_forward`` runs it with the analog layer step, on rows that may
+each carry their own scales, and ``snn`` with the LIF layer step.
 """
 
 from __future__ import annotations
@@ -286,18 +290,48 @@ def sample_masks(spec: NetworkSpec, seed: int) -> DropMasks:
     """Draw one Bernoulli(keep_prob) drop-mask per hidden layer instance.
 
     Layers with keep_prob == 1 get all-ones masks without consuming
-    randomness; the output layer gets no mask. Deterministic given the seed.
+    randomness; the output layer gets no mask. Deterministic given the seed:
+    the one-seed case of the rule in ``_draw_keep``.
     """
-    rng = np.random.default_rng(seed)
-    masks = {}
-    for ikey, _, layer, is_output in spec.layer_instances():
-        if is_output:
-            continue
-        if layer.keep_prob < 1.0:
-            masks[ikey] = (rng.random(layer.out_dim) < layer.keep_prob).astype(float)
-        else:
-            masks[ikey] = np.ones(layer.out_dim)
-    return DropMasks(masks)
+    instances = list(spec.layer_instances())
+    return DropMasks({
+        ikey: np.ones(layer.out_dim) if keep is None else keep[0].astype(float)
+        for (ikey, _, layer, is_output), keep in zip(instances, _draw_keep(instances, [seed]))
+        if not is_output
+    })
+
+
+def _draw_scales(spec: NetworkSpec, seeds) -> list:
+    """The inverted-dropout scales ``mask / keep_prob`` of one draw per seed,
+    per layer instance in layer_instances order: a (len(seeds), out_dim)
+    array, or None for the output layer and keep_prob == 1 layers, whose
+    scale 1 changes no value."""
+    instances = list(spec.layer_instances())
+    return [None if keep is None else keep / layer.keep_prob
+            for (_, _, layer, _), keep in zip(instances, _draw_keep(instances, seeds))]
+
+
+def _draw_keep(instances: list, seeds) -> list:
+    """The mask seed rule, for the layer instances of one spec and one draw
+    per seed: a boolean (len(seeds), out_dim) keep mask per instance, None
+    for the output layer and keep_prob == 1 layers.
+
+    Draw ``seed`` makes one ``default_rng(seed).random`` call as long as the
+    summed width of the keep_prob < 1 layers and keeps a neuron where its
+    uniform, sliced in layer_instances order, is below keep_prob. These are
+    the bits of one ``random(out_dim)`` call per such layer, in that order.
+    """
+    widths = [0 if is_output or layer.keep_prob == 1.0 else layer.out_dim
+              for _, _, layer, is_output in instances]
+    total = sum(widths)
+    uniform = np.empty((len(seeds), total))
+    for k, seed in enumerate(seeds):
+        uniform[k] = np.random.default_rng(seed).random(total)
+    out, start = [], 0
+    for (_, _, layer, _), width in zip(instances, widths):
+        out.append(uniform[:, start:start + width] < layer.keep_prob if width else None)
+        start += width
+    return out
 
 
 class LayerRecord(NamedTuple):
@@ -308,7 +342,7 @@ class LayerRecord(NamedTuple):
     layer: LayerSpec
     a_in: np.ndarray      # (n, in_dim) layer input
     current: np.ndarray   # (n, out_dim) pre-activation
-    scale: Optional[np.ndarray]  # (out_dim,) mask / keep_prob; None if unmasked
+    scale: Optional[np.ndarray]  # mask / keep_prob, (out_dim,) or (n, out_dim); None if unmasked
 
 
 class ForwardCache(NamedTuple):
@@ -380,9 +414,16 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
         raise InvalidNetworkError(
             f"input has {x.shape[-1] if x.ndim else 0} features, spec wants {spec.input_dim}"
         )
+    cache = _forward(spec, weights, x, _layer_scales(spec, masks), params)
+    return (cache.output[0] if single else cache.output), cache
 
+
+def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
+             scales: list, params: NeuronParams) -> ForwardCache:
+    """The analog pass over ``rows`` (n, input_dim), unchecked. ``scales``
+    holds per layer instance None or a scale of shape (out_dim,), shared by
+    every row, or (n, out_dim), one per row."""
     instances = list(spec.layer_instances())
-    scales = _layer_scales(spec, masks)
     records = []
 
     def step(i, a):
@@ -394,8 +435,8 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
         records.append(LayerRecord(ikey, wkey, layer, a, current, scales[i]))
         return act
 
-    h = _traverse(spec, [_gather_slices(spec, enc, x) for enc in spec.encoders], step)
-    return (h[0] if single else h), ForwardCache(records, h)
+    h = _traverse(spec, [_gather_slices(spec, enc, rows) for enc in spec.encoders], step)
+    return ForwardCache(records, h)
 
 
 def single_tower(input_dim: int, layers, slice_name: str = "features") -> NetworkSpec:

@@ -11,24 +11,21 @@ non-negative, so a dropped neuron contributes exactly ``+0.0`` downstream.
 
 The Monte-Carlo draws of one observation are stepped together: one batched
 core (``_simulate_block``) holds each layer's state as a (draws, width)
-array, one row per mask set, and owns the initial-voltage seed rule (draw k
-from ``v0_seed + k``). ``simulate`` is its one-draw case; ``_draw_means``
-feeds it blocks of at most ``_BLOCK_DRAWS`` draws and summarizes each draw.
+array, one row per draw and its dropout scales, and owns the initial-voltage
+seed rule (draw k from ``v0_seed + k``). ``simulate`` is its one-draw case;
+``mcinfer.predictive_distribution`` feeds ``_draw_means`` blocks of draws
+with their scales, and ``_draw_means`` summarizes each draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .convert import SpikingNetwork
 from .network import InvalidNetworkError, _gather_slices, _layer_scales, _traverse
 from .neuron import lif_step_arrays
-
-# the most draws stepped together; bounds memory whatever the draw count
-_BLOCK_DRAWS = 256
 
 
 @dataclass(frozen=True)
@@ -77,53 +74,43 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
     ``masks=None`` runs the network without dropout (the deterministic
     spiking analog of a mask-free forward pass).
     """
-    trace = _simulate_block(net, input, [masks], sim, first_draw=0)[0]
+    x = np.asarray(input, dtype=float)
+    if x.ndim != 1 or x.shape[0] != net.spec.input_dim:
+        raise InvalidNetworkError(
+            f"input has shape {x.shape}, spec wants ({net.spec.input_dim},)"
+        )
+    scales = _layer_scales(net.spec, masks)
+    trace = _simulate_block(net, x, scales, sim, first_draw=0, n=1)[0]
     values = trace[:, 0] if net.spec.output_dim == 1 else trace
     return OutputTrace(values=values, dt=sim.dt)
 
 
-def _draw_means(net: SpikingNetwork, input, mask_sets, sim: SimConfig) -> np.ndarray:
-    """Post-burn-in mean output of one simulation per mask set (draw k is the
-    k-th item of the iterable ``mask_sets``), for a scalar-output network.
-
-    Draws are stepped together in blocks of at most ``_BLOCK_DRAWS``, so
-    memory does not grow with the number of draws; each draw's tail is
-    reduced as ``summarize_trace`` reduces it.
-    """
-    mask_sets = iter(mask_sets)
-    means = []
-    while block := list(islice(mask_sets, _BLOCK_DRAWS)):
-        traces = _simulate_block(net, input, block, sim, first_draw=len(means))
-        means.extend(traces[:, sim.burn_in_steps:, 0].mean(axis=1))
-    return np.array(means)
+def _draw_means(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimConfig,
+                first_draw: int, n: int) -> np.ndarray:
+    """Post-burn-in mean output of draws ``first_draw .. first_draw + n - 1``
+    of a scalar-output network, simulated together (see ``_simulate_block``);
+    each draw's tail is reduced as ``summarize_trace`` reduces it."""
+    traces = _simulate_block(net, input, scales, sim, first_draw, n)
+    return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
 
 
-def _simulate_block(net: SpikingNetwork, input, mask_sets: list, sim: SimConfig,
-                    first_draw: int) -> np.ndarray:
-    """Step one LIF network per mask set in lockstep, as one network whose
-    state is a (draws, width) array per spiking layer.
+def _simulate_block(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimConfig,
+                    first_draw: int, n: int) -> np.ndarray:
+    """Step ``n`` LIF networks in lockstep, as one network whose state is an
+    (n, width) array per spiking layer; ``input`` (input_dim,) is unchecked.
 
-    Row k is draw ``first_draw + k``: it starts from the initial voltages of
+    ``scales`` holds per layer instance None or the dropout scales, of shape
+    (out_dim,) shared by every draw or (n, out_dim), one row per draw. Row k
+    is draw ``first_draw + k``: it starts from the initial voltages of
     ``default_rng(sim.v0_seed + first_draw + k)``, drawn layer by layer in
     layer_instances order (all zero when ``v0_seed`` is 0). Returns the
-    output potentials, shape (draws, n_steps, output_dim).
+    output potentials, shape (n, n_steps, output_dim).
     """
     spec = net.spec
     p = net.neuron_params
-    x = np.asarray(input, dtype=float)
-    if x.ndim != 1 or x.shape[0] != spec.input_dim:
-        raise InvalidNetworkError(
-            f"input has shape {x.shape}, spec wants ({spec.input_dim},)"
-        )
-
-    n = len(mask_sets)
     instances = list(spec.layer_instances())
     w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
     b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
-    per_draw = [_layer_scales(spec, masks) for masks in mask_sets]
-    scales = [None if all(s[i] is None for s in per_draw)
-              else np.stack([np.ones(layer.out_dim) if s[i] is None else s[i] for s in per_draw])
-              for i, (_, _, layer, _) in enumerate(instances)]
 
     # per-neuron state of spiking layer i: voltage, refractory clock, filter
     spiking = [i for i, (_, _, layer, _) in enumerate(instances) if layer.activation == "softlif"]
@@ -153,7 +140,7 @@ def _simulate_block(net: SpikingNetwork, input, mask_sets: list, sim: SimConfig,
         return out
 
     # every draw sees the same input; gathered once, not per tick
-    rows = np.broadcast_to(x, (n, x.size))
+    rows = np.broadcast_to(input, (n, input.size))
     inputs = [_gather_slices(spec, enc, rows) for enc in spec.encoders]
     traces = np.empty((n, sim.n_steps, spec.output_dim))
     for t in range(sim.n_steps):

@@ -136,10 +136,17 @@ class TestUsageErrors:
         (["synth", "--drug-dim", "0"], "--drug-dim"),
         (["init-spec", "--cell-hidden", "0"], "--cell-hidden"),
         (["init-spec", "--head-hidden", "-1"], "--head-hidden"),
+        (["init-spec", "--tau-ref", "-1"], "--tau-ref"),
+        (["init-spec", "--tau-rc", "0"], "--tau-rc"),
+        (["init-spec", "--v-th", "-0.5"], "--v-th"),
+        (["init-spec", "--gamma", "0"], "--gamma"),
+        (["synth", "--noise-std", "-1"], "--noise-std"),
+        (["trace", "--row", "-1"], "--row"),
     ], ids=["draws", "burnin-infer", "burnin-trace", "steps", "dt", "tausyn", "epochs",
             "batch", "lr", "dt-over-tausyn-infer", "dt-over-tausyn-trace", "keep-prob",
             "test-fraction", "seed-infer", "v0-seed", "mask-seed", "seed-synth", "seed-train",
-            "n", "drug-dim", "cell-hidden", "head-hidden"])
+            "n", "drug-dim", "cell-hidden", "head-hidden", "tau-ref", "tau-rc", "v-th",
+            "gamma", "noise-std", "row"])
     def test_out_of_range_flag_exits_2_naming_it(self, argv, flag, capsys):
         files = {"infer": ["--model", "m.json", "--data", "d.csv"],
                  "trace": ["--model", "m.json", "--data", "d.csv"],
@@ -254,11 +261,12 @@ class TestTrace:
         _, groups = read_samples(samples_out)
         assert float(meta["dnn_output"]) == groups[0][1][0]
 
-    def test_row_out_of_range(self, workspace, tmp_path):
+    def test_row_out_of_range(self, workspace, tmp_path, capsys):
         _, data, _, model = workspace
         code = main(["trace", "--model", str(model), "--data", str(data),
-                     "--row", "100000", "--out", str(tmp_path / "t.csv")])
+                     "--row", "200", "--out", str(tmp_path / "t.csv")])
         assert code == 1
+        assert f"{data}: row 200 out of range [0, 200)" in capsys.readouterr().err
 
     def test_tick_count(self, workspace, tmp_path):
         _, data, _, model = workspace

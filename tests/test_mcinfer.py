@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikedrop.convert import convert
 from spikedrop.mcinfer import (
+    _BLOCK_DRAWS,
     SampleSet,
     predictive_distribution,
     read_samples,
@@ -13,6 +16,7 @@ from spikedrop.mcinfer import (
 from spikedrop.network import (
     DropMasks,
     EncoderSpec,
+    InvalidNetworkError,
     LayerSpec,
     NetworkSpec,
     forward,
@@ -21,6 +25,7 @@ from spikedrop.network import (
 )
 from spikedrop.neuron import NeuronParams
 from spikedrop.snn import SimConfig
+from strategies import dropout_networks
 
 P = NeuronParams()
 
@@ -96,13 +101,13 @@ class TestPredictiveDistribution:
         obs = np.array([0.2, 0.2])
         seen = {"analog": [], "spiking": []}
         current = ["analog"]
-        real = mc.sample_masks
+        real = mc._draw_scales
 
-        def recording(s, seed):
-            seen[current[0]].append(seed)
-            return real(s, seed)
+        def recording(s, seeds):
+            seen[current[0]].extend(seeds)
+            return real(s, seeds)
 
-        monkeypatch.setattr(mc, "sample_masks", recording)
+        monkeypatch.setattr(mc, "_draw_scales", recording)
         predictive_distribution(spec, weights, P, obs, 6, 303, "analog")
         current[0] = "spiking"
         predictive_distribution(spec, weights, P, obs, 6, 303, "spiking",
@@ -134,6 +139,83 @@ class TestPredictiveDistribution:
             predictive_distribution(spec, weights, P, obs, 0, 0, "analog")
         with pytest.raises(ValueError):
             predictive_distribution(spec, weights, P, obs, 5, 0, "quantum")
+
+    @pytest.mark.parametrize("backend", ["analog", "spiking"])
+    def test_rejects_wrong_observation_width(self, backend):
+        spec, weights = four_neuron_net()
+        with pytest.raises(InvalidNetworkError, match=r"\(3,\).*\(2,\)"):
+            predictive_distribution(spec, weights, P, np.zeros(3), 4, 0, backend)
+
+
+def per_draw_forward(spec, weights, obs, n_draws, base_seed):
+    """The per-draw reference of an analog predictive distribution: one
+    forward pass per draw k under the masks of seed base_seed + k."""
+    return np.array([forward(spec, weights, obs, sample_masks(spec, base_seed + k), P)[0][0]
+                     for k in range(n_draws)])
+
+
+class TestBatchedAnalogDraws:
+    """Analog predictive draws of an observation are one batched forward pass
+    per block; per-draw forward is the reference. A batched matmul sums in
+    another order than a one-row one, so draws agree to 1e-12, and bitwise
+    where every matmul is one product."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=st.sampled_from(["softlif", "linear"]).flatmap(
+               lambda activation: dropout_networks(activation, max_output_dim=1)),
+           seed=st.integers(0, 2 ** 32 - 1), n_draws=st.integers(1, 6))
+    @example(spec=NetworkSpec(  # a keep_prob 1 layer between dropout layers
+        input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3)],
+        encoders=[EncoderSpec(["c"], [LayerSpec(2, 4, "softlif", 0.5),
+                                      LayerSpec(4, 3, "softlif", 1.0),
+                                      LayerSpec(3, 5, "softlif", 0.8)]),
+                  EncoderSpec(["a"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d"),
+                  EncoderSpec(["b"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d")],
+        head=[LayerSpec(17, 8, "softlif", 0.95), LayerSpec(8, 1, "linear")],
+        output_dim=1,
+    ), seed=5, n_draws=6)
+    def test_draws_match_per_draw_forward(self, spec, seed, n_draws):
+        w = init_weights(spec, seed=seed)
+        x = np.random.default_rng(seed).normal(size=spec.input_dim)
+        got = predictive_distribution(spec, w, P, x, n_draws, seed, "analog").draws
+        want = per_draw_forward(spec, w, x, n_draws, seed)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_draw_count_crossing_the_block_size(self):
+        spec, weights = four_neuron_net(keep_prob=0.5)
+        obs = np.array([0.9, 0.4])
+        n_draws = _BLOCK_DRAWS + 44
+        got = predictive_distribution(spec, weights, P, obs, n_draws, 11, "analog").draws
+        want = per_draw_forward(spec, weights, obs, n_draws, 11)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_width_one_chain_matches_per_draw_bitwise(self):
+        # every matmul is one product, so summation order cannot differ and
+        # the draws pin the mask seed rule bit for bit
+        spec = NetworkSpec(
+            input_slices=[("x", 0, 1)],
+            encoders=[EncoderSpec(["x"], [LayerSpec(1, 1, "softlif", 0.8),
+                                          LayerSpec(1, 1, "softlif", 0.8)])],
+            head=[LayerSpec(1, 1, "softlif", 0.8), LayerSpec(1, 1, "linear")],
+            output_dim=1,
+        )
+        w = init_weights(spec, seed=0)
+        for key in ("enc0:0", "enc0:1", "head:0"):
+            w.weights[key][:] = 0.004
+            w.biases[key][:] = 1.5
+        w.weights["head:1"][:] = 0.3
+        x = np.array([2.0])
+        got = predictive_distribution(spec, w, P, x, 40, 40, "analog").draws
+        want = per_draw_forward(spec, w, x, 40, 40)
+        assert len(np.unique(got)) > 2  # the draws differ: the masks act
+        assert np.array_equal(got, want)
+
+    def test_draws_independent_of_draw_count(self):
+        spec, weights = four_neuron_net(keep_prob=0.5)
+        obs = np.array([0.6, 0.3])
+        five = predictive_distribution(spec, weights, P, obs, 5, 17, "analog")
+        twelve = predictive_distribution(spec, weights, P, obs, 12, 17, "analog")
+        assert np.array_equal(five.draws, twelve.draws[:5])
 
 
 class TestSamplesFile:

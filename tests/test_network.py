@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikedrop.network import (
+    _draw_scales,
     DropMasks,
     EncoderSpec,
     InvalidNetworkError,
@@ -302,6 +303,43 @@ class TestSampleMasks:
         spec = minimal_spec(keep_prob=0.5)
         m = sample_masks(spec, seed=3)["enc0:0"]
         assert set(np.unique(m)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
+    def test_seed_rule(self, seed):
+        # the rule written out independently of the code: per layer instance
+        # in traversal order, keep_prob < 1 layers draw random(width) from
+        # one default_rng(seed); keep_prob 1 layers draw nothing
+        spec = NetworkSpec(
+            input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3)],
+            encoders=[EncoderSpec(["c"], [LayerSpec(2, 4, "softlif", 0.5),
+                                          LayerSpec(4, 3, "softlif", 1.0),
+                                          LayerSpec(3, 5, "softlif", 0.95)]),
+                      EncoderSpec(["a"], [LayerSpec(3, 6, "softlif", 0.7)], share_tag="d"),
+                      EncoderSpec(["b"], [LayerSpec(3, 6, "softlif", 0.7)], share_tag="d")],
+            head=[LayerSpec(17, 8, "softlif", 0.9), LayerSpec(8, 1, "linear")],
+            output_dim=1,
+        )
+        rng = np.random.default_rng(seed)
+        expected = {}
+        for key, width, keep in [("enc0:0", 4, 0.5), ("enc0:1", 3, 1.0), ("enc0:2", 5, 0.95),
+                                 ("enc1:0", 6, 0.7), ("enc2:0", 6, 0.7), ("head:0", 8, 0.9)]:
+            expected[key] = ((rng.random(width) < keep).astype(float) if keep < 1
+                             else np.ones(width), keep)
+
+        masks = sample_masks(spec, seed)
+        assert set(masks.masks) == set(expected)
+        for key, (mask, _) in expected.items():
+            assert np.array_equal(masks[key], mask)
+
+        scales = _draw_scales(spec, [seed + 1, seed, seed])
+        keys = [ikey for ikey, _, _, _ in spec.layer_instances()]
+        assert scales[keys.index("enc0:1")] is None and scales[-1] is None
+        for key, (mask, keep) in expected.items():
+            if keep < 1:
+                block = scales[keys.index(key)]
+                assert block.shape == (3, mask.size)
+                assert np.array_equal(block[1], mask / keep)
+                assert np.array_equal(block[2], mask / keep)
 
 
 class TestModelFile:
