@@ -21,7 +21,6 @@ from .network import (
     load_model,
     sample_masks,
     save_model,
-    single_tower,
     validate,
 )
 from .neuron import (

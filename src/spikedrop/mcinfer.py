@@ -74,7 +74,7 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
             draws[first:first + n] = _draw_means(net, obs, scales, sim, first, n)
         else:
             rows = np.broadcast_to(obs, (n, obs.size))
-            draws[first:first + n] = _forward(spec, weights, rows, scales, params).output[:, 0]
+            draws[first:first + n] = _forward(spec, weights, rows, scales, params)[:, 0]
 
     if not np.isfinite(draws).all():
         raise FloatingPointError("non-finite prediction draw")

@@ -14,7 +14,11 @@ case.
 
 One private traversal (``_traverse``) walks the towers and the head for both
 backends: ``_forward`` runs it with the analog layer step, on rows that may
-each carry their own scales, and ``snn`` with the LIF layer step.
+each carry their own scales, and ``snn`` with the LIF layer step. Only
+``forward`` asks ``_forward`` for layer records (each SoftLIF layer's input
+and ``neuron._softlif`` intermediates, from which ``training.backward``
+builds the gradient); Monte-Carlo analog draws and training's epoch-end
+losses call ``_forward`` without a record list and keep none.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .neuron import NeuronParams, softlif_rate
+from .neuron import NeuronParams, _softlif
 
 ACTIVATIONS = ("softlif", "linear")
 
@@ -134,15 +138,6 @@ class WeightStore:
         return WeightStore(
             {k: np.zeros_like(v) for k, v in self.weights.items()},
             {k: np.zeros_like(v) for k, v in self.biases.items()},
-        )
-
-    def equal(self, other: "WeightStore") -> bool:
-        if set(self.weights) != set(other.weights):
-            return False
-        return all(
-            np.array_equal(self.weights[k], other.weights[k])
-            and np.array_equal(self.biases[k], other.biases[k])
-            for k in self.weights
         )
 
 
@@ -341,7 +336,7 @@ class LayerRecord(NamedTuple):
     weight_key: str
     layer: LayerSpec
     a_in: np.ndarray      # (n, in_dim) layer input
-    current: np.ndarray   # (n, out_dim) pre-activation
+    softlif: Optional[tuple]  # neuron._softlif's (q, t, soft, rate); None on linear layers
     scale: Optional[np.ndarray]  # mask / keep_prob, (out_dim,) or (n, out_dim); None if unmasked
 
 
@@ -414,39 +409,34 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
         raise InvalidNetworkError(
             f"input has {x.shape[-1] if x.ndim else 0} features, spec wants {spec.input_dim}"
         )
-    cache = _forward(spec, weights, x, _layer_scales(spec, masks), params)
-    return (cache.output[0] if single else cache.output), cache
+    records = []
+    out = _forward(spec, weights, x, _layer_scales(spec, masks), params, records)
+    return (out[0] if single else out), ForwardCache(records, out)
 
 
 def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
-             scales: list, params: NeuronParams) -> ForwardCache:
-    """The analog pass over ``rows`` (n, input_dim), unchecked. ``scales``
-    holds per layer instance None or a scale of shape (out_dim,), shared by
-    every row, or (n, out_dim), one per row."""
+             scales: list, params: NeuronParams, records: Optional[list] = None) -> np.ndarray:
+    """The analog pass over ``rows`` (n, input_dim), unchecked; returns the
+    (n, output_dim) output. ``scales`` holds per layer instance None or a
+    scale of shape (out_dim,), shared by every row, or (n, out_dim), one per
+    row. Given a ``records`` list, appends one LayerRecord per layer instance
+    for backprop; passes that never backpropagate leave it None and keep no
+    per-layer arrays alive."""
     instances = list(spec.layer_instances())
-    records = []
 
     def step(i, a):
         ikey, wkey, layer, _ = instances[i]
-        current = a @ weights.weights[wkey].T + weights.biases[wkey]
-        act = softlif_rate(current, params) if layer.activation == "softlif" else current
+        act = a @ weights.weights[wkey].T + weights.biases[wkey]
+        parts = None
+        if layer.activation == "softlif":
+            act, parts = _softlif(act, params)
         if scales[i] is not None:
             act = act * scales[i]
-        records.append(LayerRecord(ikey, wkey, layer, a, current, scales[i]))
+        if records is not None:
+            records.append(LayerRecord(ikey, wkey, layer, a, parts, scales[i]))
         return act
 
-    h = _traverse(spec, [_gather_slices(spec, enc, rows) for enc in spec.encoders], step)
-    return ForwardCache(records, h)
-
-
-def single_tower(input_dim: int, layers, slice_name: str = "features") -> NetworkSpec:
-    """A spec with one passthrough encoder and the given layers as the head."""
-    return NetworkSpec(
-        input_slices=[(slice_name, 0, input_dim)],
-        encoders=[EncoderSpec(slices=[slice_name])],
-        head=list(layers),
-        output_dim=layers[-1].out_dim,
-    )
+    return _traverse(spec, [_gather_slices(spec, enc, rows) for enc in spec.encoders], step)
 
 
 def combo_spec(cell_dim: int, drug_dim: int, cell_hidden: int = 16,

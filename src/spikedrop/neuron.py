@@ -9,6 +9,14 @@ Replacing the hard rectifier with the smoothed softplus
 ``gamma * log(1 + exp(x / gamma))`` gives the SoftLIF rate, which is smooth
 everywhere and converges to the hard rate as ``gamma -> 0``. Networks are
 trained on the SoftLIF curve and simulated with the hard-threshold dynamics.
+
+The SoftLIF formulas are written once, in private helpers: ``_softlif``
+evaluates the rate and returns the intermediates ``(q, t, soft, rate)``, and
+``_softlif_grad`` builds the derivative from those intermediates with a few
+multiplies. The analog forward pass keeps them in its layer records, so the
+backward pass never evaluates an ``exp`` or ``log1p`` again. The public
+``softplus_gamma``, ``softlif_rate`` and ``softlif_rate_grad`` wrap the same
+helpers and give the same bits.
 """
 
 from __future__ import annotations
@@ -65,6 +73,37 @@ def lif_rate(current, params: NeuronParams = NeuronParams()):
     return float(out) if scalar else out
 
 
+def _softplus_parts(x, gamma: float):
+    """``q = x / gamma``, ``t = exp(-|q|)`` and the softplus value
+    ``gamma * (max(q, 0) + log1p(t))``: the one place they are computed."""
+    q = x / gamma
+    t = np.exp(-np.abs(q))
+    return q, t, gamma * (np.maximum(q, 0.0) + np.log1p(t))
+
+
+def _softlif(current, params: NeuronParams):
+    """The SoftLIF rate of an array of currents, and the parts
+    ``(q, t, soft, rate)`` from which _softlif_grad builds its derivative."""
+    q, t, soft = _softplus_parts(current - params.v_th, params.gamma)
+    # v_th / soft is inf where soft is 0 or subnormal, and the rate then 0.
+    # Every element is evaluated and the soft > 0 ones kept, which gives them
+    # the bits of evaluating them alone and costs less than indexing them
+    with np.errstate(over="ignore", divide="ignore"):
+        rate = np.where(soft > 0, 1.0 / (
+            params.tau_ref + params.tau_rc * np.log1p(params.v_th / soft)
+        ), 0.0)
+    return rate, (q, t, soft, rate)
+
+
+def _softlif_grad(parts, params: NeuronParams):
+    """d rate / d current from the parts _softlif returned for those currents."""
+    q, t, soft, rate = parts
+    # sigmoid(q) / soft -> 1/gamma as q -> -inf; branch to avoid 0/0 underflow
+    sig = np.where(q >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    ratio = np.where(q < _LOG_TINY, 1.0 / params.gamma, sig / np.where(soft > 0, soft, 1.0))
+    return rate * rate * params.tau_rc * params.v_th * ratio / (soft + params.v_th)
+
+
 def softplus_gamma(x, gamma: float):
     """Smoothed rectifier ``gamma * log(1 + exp(x / gamma))``.
 
@@ -74,8 +113,7 @@ def softplus_gamma(x, gamma: float):
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     z, scalar = _as_array(x)
-    q = z / gamma
-    out = gamma * (np.maximum(q, 0.0) + np.log1p(np.exp(-np.abs(q))))
+    out = _softplus_parts(z, gamma)[2]
     return float(out) if scalar else out
 
 
@@ -86,14 +124,7 @@ def softlif_rate(current, params: NeuronParams = NeuronParams()):
     (underflows to 0 only when the smoothed rectifier itself underflows).
     """
     j, scalar = _as_array(current)
-    soft = np.asarray(softplus_gamma(j - params.v_th, params.gamma))
-    out = np.zeros_like(soft)
-    pos = soft > 0
-    # v_th / soft may overflow to inf for subnormal soft; the rate is then 0
-    with np.errstate(over="ignore"):
-        out[pos] = 1.0 / (
-            params.tau_ref + params.tau_rc * np.log1p(params.v_th / soft[pos])
-        )
+    out = _softlif(j, params)[0]
     return float(out) if scalar else out
 
 
@@ -105,16 +136,7 @@ def softlif_rate_grad(current, params: NeuronParams = NeuronParams()):
         dr/dJ = r^2 * tau_rc * v_th * sigmoid((J - v_th)/gamma) / (j * (j + v_th))
     """
     j, scalar = _as_array(current)
-    x = j - params.v_th
-    q = x / params.gamma
-    soft = np.asarray(softplus_gamma(x, params.gamma))
-    rate = np.asarray(softlif_rate(j, params))
-
-    # sigmoid(q) / soft -> 1/gamma as q -> -inf; branch to avoid 0/0 underflow
-    t = np.exp(-np.abs(q))
-    sig = np.where(q >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    ratio = np.where(q < _LOG_TINY, 1.0 / params.gamma, sig / np.where(soft > 0, soft, 1.0))
-    grad = rate * rate * params.tau_rc * params.v_th * ratio / (soft + params.v_th)
+    grad = _softlif_grad(_softlif(j, params)[1], params)
     return float(grad) if scalar else grad
 
 

@@ -2,7 +2,11 @@
 
 Dropout is the only regularizer: a fresh set of drop-masks is sampled once per
 minibatch and applied to layer outputs with inverted scaling, matching the
-masked inference path exactly.
+masked inference path exactly. The backward pass builds each SoftLIF layer's
+derivative from the intermediates its forward pass kept in the layer record
+(``neuron._softlif``), so no ``exp`` or ``log1p`` is evaluated twice. The
+epoch-end loss passes never backpropagate, so they call ``network._forward``
+without a record list.
 """
 
 from __future__ import annotations
@@ -11,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuron import NeuronParams, softlif_rate_grad
+from .neuron import NeuronParams, _softlif_grad
 from .network import (
     ForwardCache,
+    InvalidNetworkError,
     NetworkSpec,
     WeightStore,
+    _forward,
+    _layer_scales,
     forward,
     init_weights,
     sample_masks,
@@ -63,8 +70,8 @@ def _layer_backward(rec, g_out, weights: WeightStore, grads: WeightStore,
     """Push the gradient through one cached layer; returns grad w.r.t. its input."""
     if rec.scale is not None:
         g_out = g_out * rec.scale
-    if rec.layer.activation == "softlif":
-        g_cur = g_out * softlif_rate_grad(rec.current, params)
+    if rec.softlif is not None:
+        g_cur = g_out * _softlif_grad(rec.softlif, params)
     else:
         g_cur = g_out
     grads.weights[rec.weight_key] += g_cur.T @ rec.a_in
@@ -128,6 +135,24 @@ class _AdamState:
                 store[key] -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
 
 
+def _checked_arrays(spec: NetworkSpec, dataset, name: str):
+    """The features and targets of ``dataset`` as float arrays, checked
+    against the spec's input width and against each other; errors name the
+    dataset and both sizes."""
+    x = np.asarray(dataset.features, dtype=float)
+    y = np.asarray(dataset.targets, dtype=float)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        width = x.shape[-1] if x.ndim else 0
+        raise InvalidNetworkError(
+            f"{name} dataset has {width} features, spec wants {spec.input_dim}"
+        )
+    if y.size != x.shape[0]:
+        raise ValueError(
+            f"{name} dataset has {y.size} targets for {x.shape[0]} feature rows"
+        )
+    return x, y.reshape(x.shape[0])
+
+
 def train(spec: NetworkSpec, dataset, config: TrainConfig,
           neuron_params: NeuronParams = NeuronParams(), eval_dataset=None):
     """Train on ``dataset`` (any object with .features and .targets).
@@ -135,14 +160,18 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig,
     Returns ``(weights, history)`` where history rows are
     ``(epoch, train_mse, eval_mse)`` with eval_mse = nan when no eval set is
     given. The epoch-end losses are deterministic (mask-free) forward passes.
-    Fully deterministic given config.seed.
+    Both datasets are checked against the spec's input width and their own
+    target counts before the first epoch. Fully deterministic given
+    config.seed.
     """
     validate(spec)
-    x = np.asarray(dataset.features, dtype=float)
-    y = np.asarray(dataset.targets, dtype=float)
+    x, y = _checked_arrays(spec, dataset, "train")
     n = x.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
+    if eval_dataset is not None:
+        x_eval, y_eval = _checked_arrays(spec, eval_dataset, "eval")
+    unmasked = _layer_scales(spec, None)
 
     rng = np.random.default_rng(config.seed)
     weights = init_weights(spec, seed=int(rng.integers(2 ** 32)),
@@ -164,12 +193,9 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig,
             grads = backward(spec, weights, cache, masks, y[idx], neuron_params)
             adam.step(weights, grads, config)
 
-        train_mse = loss_mse(forward(spec, weights, x, None, neuron_params)[0], y)
+        train_mse = loss_mse(_forward(spec, weights, x, unmasked, neuron_params), y)
         if eval_dataset is not None:
-            eval_out, _ = forward(spec, weights,
-                                  np.asarray(eval_dataset.features, dtype=float),
-                                  None, neuron_params)
-            eval_mse = loss_mse(eval_out, eval_dataset.targets)
+            eval_mse = loss_mse(_forward(spec, weights, x_eval, unmasked, neuron_params), y_eval)
         else:
             eval_mse = float("nan")
         history.append((epoch, train_mse, eval_mse))

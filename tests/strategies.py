@@ -1,5 +1,6 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and spec and weight helpers shared by the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from spikedrop.network import EncoderSpec, LayerSpec, NetworkSpec
@@ -41,3 +42,58 @@ def dropout_networks(draw, activation="linear", max_output_dim=2):
     spec.output_dim = draw(st.integers(1, max_output_dim))
     spec.head.append(LayerSpec(in_dim, spec.output_dim, "linear"))
     return spec
+
+
+def single_tower(input_dim: int, layers, slice_name: str = "features") -> NetworkSpec:
+    """A spec with one passthrough encoder and the given layers as the head."""
+    return NetworkSpec(
+        input_slices=[(slice_name, 0, input_dim)],
+        encoders=[EncoderSpec(slices=[slice_name])],
+        head=list(layers),
+        output_dim=layers[-1].out_dim,
+    )
+
+
+def weights_equal(a, b) -> bool:
+    """Whether two WeightStores hold the same keys and bitwise-equal arrays."""
+    if set(a.weights) != set(b.weights):
+        return False
+    return all(
+        np.array_equal(a.weights[k], b.weights[k])
+        and np.array_equal(a.biases[k], b.biases[k])
+        for k in a.weights
+    )
+
+
+# Reference SoftLIF formulas, written out independently of spikedrop.neuron:
+# the library must reproduce every bit of them.
+
+def reference_softplus(x, gamma):
+    q = np.asarray(x, dtype=float) / gamma
+    return gamma * (np.maximum(q, 0.0) + np.log1p(np.exp(-np.abs(q))))
+
+
+def reference_softlif_rate(current, params):
+    soft = np.asarray(reference_softplus(np.asarray(current, dtype=float) - params.v_th,
+                                         params.gamma))
+    out = np.zeros_like(soft)
+    pos = soft > 0
+    with np.errstate(over="ignore"):
+        out[pos] = 1.0 / (
+            params.tau_ref + params.tau_rc * np.log1p(params.v_th / soft[pos])
+        )
+    return out
+
+
+def reference_softlif_rate_grad(current, params):
+    """d softlif_rate / d current; below q = (J - v_th) / gamma = -30 the
+    ratio sigmoid(q) / softplus is taken as 1 / gamma to avoid 0 / 0."""
+    j = np.asarray(current, dtype=float)
+    x = j - params.v_th
+    q = x / params.gamma
+    soft = np.asarray(reference_softplus(x, params.gamma))
+    rate = reference_softlif_rate(j, params)
+    t = np.exp(-np.abs(q))
+    sig = np.where(q >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    ratio = np.where(q < -30.0, 1.0 / params.gamma, sig / np.where(soft > 0, soft, 1.0))
+    return rate * rate * params.tau_rc * params.v_th * ratio / (soft + params.v_th)

@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from spikedrop.convert import convert
 from spikedrop.mcinfer import (
     _BLOCK_DRAWS,
+    BACKENDS,
     SampleSet,
     predictive_distribution,
     read_samples,
@@ -233,6 +236,28 @@ class TestSamplesFile:
         backend, draws = groups[0]
         assert backend == "analog"
         assert np.array_equal(draws, sets[0].draws)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ids=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=4, unique=True),
+           data=st.data(),
+           meta=st.dictionaries(st.text("abcdefghij_", min_size=1, max_size=8),
+                                st.text("abcdefghij0123456789._-", max_size=12), max_size=3))
+    def test_round_trip_reproduces_every_bit(self, ids, data, meta):
+        sets = [SampleSet(obs_id,
+                          np.array(data.draw(st.lists(st.floats(allow_nan=False),
+                                                      min_size=1, max_size=20))),
+                          data.draw(st.sampled_from(BACKENDS)), 0)
+                for obs_id in ids]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            write_samples(path, sets, meta)
+            got_meta, groups = read_samples(path)
+        assert got_meta == meta
+        assert sorted(groups) == sorted(ids)
+        for ss in sets:
+            backend, draws = groups[ss.observation_id]
+            assert backend == ss.backend
+            assert draws.dtype == np.float64 and draws.tobytes() == ss.draws.tobytes()
 
     def test_draw_order_restored(self, tmp_path):
         path = tmp_path / "s.csv"

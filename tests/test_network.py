@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikedrop.network import (
     _draw_scales,
@@ -16,10 +21,10 @@ from spikedrop.network import (
     load_model,
     sample_masks,
     save_model,
-    single_tower,
     validate,
 )
 from spikedrop.neuron import NeuronParams
+from strategies import dropout_networks, single_tower, weights_equal
 
 P = NeuronParams()
 
@@ -121,9 +126,9 @@ class TestInitWeights:
         spec = combo_spec(4, 4)
         a = init_weights(spec, seed=3)
         b = init_weights(spec, seed=3)
-        assert a.equal(b)
+        assert weights_equal(a, b)
         c = init_weights(spec, seed=4)
-        assert not a.equal(c)
+        assert not weights_equal(a, c)
 
     def test_variance_scaling(self):
         spec = single_tower(1000, [LayerSpec(1000, 1000, "softlif"),
@@ -352,8 +357,33 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.kind == "analog"
         assert loaded.neuron_params == params
-        assert loaded.weights.equal(w)
+        assert weights_equal(loaded.weights, w)
         assert [l.keep_prob for l in loaded.spec.head] == [l.keep_prob for l in spec.head]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=dropout_networks(activation="softlif"), data=st.data(),
+           params=st.builds(NeuronParams,
+                            tau_ref=st.floats(0.0, 1.0),
+                            tau_rc=st.floats(1e-300, 10.0),
+                            v_th=st.floats(1e-300, 1e300),
+                            gamma=st.floats(5e-324, 1e300)))
+    def test_round_trip_reproduces_every_bit(self, spec, data, params):
+        weights = init_weights(spec, seed=0)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        for store in (weights.weights, weights.biases):
+            for key, arr in store.items():
+                store[key] = data.draw(arrays(np.float64, arr.shape, elements=finite))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(path, spec, weights, params)
+            loaded = load_model(path)
+        assert loaded.spec == spec
+        assert loaded.neuron_params == params
+        for store, got in ((weights.weights, loaded.weights.weights),
+                           (weights.biases, loaded.weights.biases)):
+            assert set(got) == set(store)
+            for key, arr in store.items():
+                assert got[key].shape == arr.shape and got[key].tobytes() == arr.tobytes()
 
     def test_kind_flag_distinguishes_spiking(self, tmp_path):
         spec = minimal_spec()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikedrop.neuron import (
     NeuronParams,
@@ -11,6 +13,7 @@ from spikedrop.neuron import (
     softlif_rate_grad,
     softplus_gamma,
 )
+from strategies import reference_softlif_rate, reference_softlif_rate_grad, reference_softplus
 
 P = NeuronParams()  # tau_ref=0.002, tau_rc=0.02, v_th=1, gamma=0.02
 
@@ -140,6 +143,39 @@ class TestSoftlifRateGrad:
         vec = softlif_rate_grad(xs, P)
         for x, v in zip(xs, vec):
             assert softlif_rate_grad(float(x), P) == v
+
+
+# q = (J - v_th) / gamma in each branch of the formulas: q >= 0; the
+# sigmoid / softplus ratio for -30 < q < 0; its 1 / gamma limit below -30;
+# and below about -745, where exp(-|q|) underflows to 0
+Q_REGIONS = st.one_of(
+    st.floats(0.0, 800.0),
+    st.floats(-30.0, 0.0, exclude_max=True),
+    st.floats(-745.0, -30.0, exclude_max=True),
+    st.floats(-1e5, -745.2),
+)
+
+
+class TestSoftlifBits:
+    """The shared SoftLIF helpers reproduce the reference formulas bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gamma=st.floats(0.002, 3.0), tau_ref=st.sampled_from([0.0, 0.002, 0.02]),
+           qs=st.lists(Q_REGIONS, min_size=1, max_size=40))
+    @example(gamma=0.002, tau_ref=0.02, qs=[5.0, 0.0, -1e-9, -12.0, -30.0, -31.0, -400.0, -745.2, -5e4])
+    @example(gamma=3.0, tau_ref=0.0, qs=[700.0, 1.5, -29.999, -30.001, -744.0, -746.0])
+    def test_rate_and_grad_match_reference(self, gamma, tau_ref, qs):
+        p = NeuronParams(tau_ref=tau_ref, gamma=gamma)
+        j = p.v_th + np.array(qs) * gamma
+        assert np.array_equal(softplus_gamma(j - p.v_th, gamma), reference_softplus(j - p.v_th, gamma))
+        assert np.array_equal(softlif_rate(j, p), reference_softlif_rate(j, p))
+        assert np.array_equal(softlif_rate_grad(j, p), reference_softlif_rate_grad(j, p))
+
+    @pytest.mark.parametrize("current", [-1e4, -0.5, 0.99, 1.0, 1.01, 4.0])
+    def test_scalars_match_reference(self, current):
+        p = NeuronParams(gamma=0.002)
+        assert softlif_rate(current, p) == reference_softlif_rate(current, p)
+        assert softlif_rate_grad(current, p) == reference_softlif_rate_grad(current, p)
 
 
 def lif_step_one(voltage, refractory, current, dt=0.001):

@@ -15,10 +15,9 @@ from spikedrop.network import (
     forward,
     init_weights,
     sample_masks,
-    single_tower,
 )
 from spikedrop.neuron import NeuronParams, lif_rate
-from strategies import dropout_networks
+from strategies import dropout_networks, single_tower
 from spikedrop.snn import (
     OutputTrace,
     SimConfig,

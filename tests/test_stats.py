@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from spikedrop.stats import (
@@ -21,6 +23,26 @@ class TestEcdfSupDistance:
     def test_interleaved(self):
         # ECDF values at x in {1,2,3,4}: Fa = .5,.5,1,1  Fb = 0,.5,.5,1
         assert ecdf_sup_distance([1, 3], [2, 4]) == 0.5
+
+    # Both statistics lie on the lattice k / (n m), whose spacing is at
+    # least 1 / 1600 here; they may differ only in how the last bit rounds
+    # (1 - 2/3 against 1/3), so 1e-15 still pins the lattice point. Only the
+    # statistic is compared; scipy's p-value divides by zero on tiny samples.
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+           b=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_equals_scipy_statistic_untied(self, a, b):
+        expected = scipy_stats.ks_2samp(a, b, method="asymp").statistic
+        assert ecdf_sup_distance(a, b) == pytest.approx(expected, rel=0, abs=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
+           b=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40))
+    def test_equals_scipy_statistic_tied(self, a, b):
+        expected = scipy_stats.ks_2samp(a, b, method="asymp").statistic
+        assert ecdf_sup_distance(a, b) == pytest.approx(expected, rel=0, abs=1e-15)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

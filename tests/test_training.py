@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spikedrop.training as training_mod
 from spikedrop.data import Dataset, synth_combo
 from spikedrop.network import (
     DropMasks,
     EncoderSpec,
+    InvalidNetworkError,
     LayerSpec,
     NetworkSpec,
+    _forward,
+    _layer_scales,
     combo_spec,
     forward,
     init_weights,
     sample_masks,
-    single_tower,
 )
 from spikedrop.neuron import NeuronParams
 from spikedrop.training import (
@@ -22,6 +27,7 @@ from spikedrop.training import (
     loss_mse,
     train,
 )
+from strategies import dropout_networks, reference_softlif_rate_grad, single_tower, weights_equal
 
 P = NeuronParams()
 
@@ -158,6 +164,71 @@ class TestBackward:
                            2.0 * ref_grads.weights["tw:0"], rtol=1e-9)
 
 
+def reference_backward(spec, weights, cache, targets, params):
+    """backward's traversal, with each SoftLIF derivative taken by the
+    reference formula at the layer's pre-activation, recomputed from the
+    record's input as the forward pass computed it."""
+    preds = cache.output
+    g = 2.0 * (preds - np.asarray(targets, dtype=float).reshape(preds.shape)) / preds.size
+    grads = weights.zeros_like()
+
+    def layer(rec, g):
+        w = weights.weights[rec.weight_key]
+        if rec.scale is not None:
+            g = g * rec.scale
+        if rec.layer.activation == "softlif":
+            current = rec.a_in @ w.T + weights.biases[rec.weight_key]
+            g = g * reference_softlif_rate_grad(current, params)
+        grads.weights[rec.weight_key] += g.T @ rec.a_in
+        grads.biases[rec.weight_key] += g.sum(axis=0)
+        return g @ w
+
+    n_tower = sum(len(enc.layers) for enc in spec.encoders)
+    for rec in reversed(cache.records[n_tower:]):
+        g = layer(rec, g)
+    start, first = 0, 0
+    for enc in spec.encoders:
+        width = spec.encoder_output_dim(enc)
+        g_enc = g[:, start:start + width]
+        for rec in reversed(cache.records[first:first + len(enc.layers)]):
+            g_enc = layer(rec, g_enc)
+        start += width
+        first += len(enc.layers)
+    return grads
+
+
+class TestBackwardBits:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=dropout_networks(activation="softlif"), seed=st.integers(0, 2 ** 32 - 1),
+           rows=st.integers(1, 5), gamma=st.sampled_from([0.002, 0.02, 1.0]))
+    def test_backward_matches_reference_bitwise(self, spec, seed, rows, gamma):
+        params = NeuronParams(tau_ref=0.02, gamma=gamma)
+        rng = np.random.default_rng(seed)
+        weights = init_weights(spec, seed=seed)
+        x = rng.normal(size=(rows, spec.input_dim)) * 3.0
+        targets = rng.normal(size=(rows, spec.output_dim))
+        masks = sample_masks(spec, seed)
+        _, cache = forward(spec, weights, x, masks, params)
+        got = backward(spec, weights, cache, masks, targets, params)
+        want = reference_backward(spec, weights, cache, targets, params)
+        for key in want.weights:
+            assert np.array_equal(got.weights[key], want.weights[key])
+            assert np.array_equal(got.biases[key], want.biases[key])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=dropout_networks(activation="softlif"), seed=st.integers(0, 2 ** 32 - 1),
+           rows=st.integers(1, 5))
+    def test_forward_without_records_matches_forward_bitwise(self, spec, seed, rows):
+        params = NeuronParams(gamma=0.002)
+        weights = init_weights(spec, seed=seed)
+        x = np.random.default_rng(seed).normal(size=(rows, spec.input_dim)) * 3.0
+        masks = sample_masks(spec, seed)
+        out, cache = forward(spec, weights, x, masks, params)
+        bare = _forward(spec, weights, x, _layer_scales(spec, masks), params)
+        assert np.array_equal(bare, out)
+        assert len(cache.records) == len(list(spec.layer_instances()))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_weights_unchanged(self):
         spec = tiny_spec()
@@ -165,7 +236,7 @@ class TestAdam:
         before = weights.copy()
         state = _AdamState(weights)
         state.step(weights, weights.zeros_like(), TrainConfig())
-        assert weights.equal(before)
+        assert weights_equal(weights, before)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +279,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=4, batch_size=16, seed=12)
         w1, h1 = train(spec, ds, cfg, P)
         w2, h2 = train(spec, ds, cfg, P)
-        assert w1.equal(w2)
+        assert weights_equal(w1, w2)
         assert np.array_equal(np.array(h1), np.array(h2), equal_nan=True)
 
     def test_keep_prob_one_invariant_to_mask_path(self):
@@ -218,7 +289,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=16, seed=7)
         w1, h1 = train(spec, ds, cfg, P)
         w2, h2 = train(spec, ds, cfg, P)
-        assert w1.equal(w2)
+        assert weights_equal(w1, w2)
         assert np.array_equal(np.array(h1), np.array(h2), equal_nan=True)
 
     def test_empty_dataset_rejected(self):
@@ -238,6 +309,30 @@ class TestTrain:
         spec = single_tower(3, [LayerSpec(3, 1, "linear")])
         with pytest.raises(TrainingDivergedError):
             train(spec, ds, TrainConfig(epochs=5, learning_rate=1e10), P)
+
+    @pytest.mark.parametrize("which, rows, width, n_targets, error, message", [
+        ("train", 64, 4, 64, InvalidNetworkError, "train dataset has 4 features, spec wants 3"),
+        ("train", 64, 3, 80, ValueError, "train dataset has 80 targets for 64 feature rows"),
+        ("train", 64, 3, 40, ValueError, "train dataset has 40 targets for 64 feature rows"),
+        ("eval", 20, 2, 20, InvalidNetworkError, "eval dataset has 2 features, spec wants 3"),
+        ("eval", 20, 3, 25, ValueError, "eval dataset has 25 targets for 20 feature rows"),
+    ], ids=["train-width", "train-80-targets", "train-40-targets", "eval-width", "eval-targets"])
+    def test_datasets_checked_before_the_first_minibatch(self, monkeypatch, which, rows,
+                                                         width, n_targets, error, message):
+        def dataset(rows, width, n_targets):
+            rng = np.random.default_rng(rows)
+            return Dataset(features=rng.normal(size=(rows, width)),
+                           targets=rng.normal(size=n_targets), feature_names=["f"] * width)
+
+        sets = {"train": dataset(64, 3, 64), "eval": dataset(20, 3, 20)}
+        sets[which] = dataset(rows, width, n_targets)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a minibatch ran before the datasets were checked")
+
+        monkeypatch.setattr(training_mod, "forward", no_forward)
+        with pytest.raises(error, match=message):
+            train(tiny_spec(), sets["train"], TrainConfig(epochs=1), P, eval_dataset=sets["eval"])
 
     def test_eval_history_column(self):
         ds = synth_combo(100, 2, 2, seed=6)
