@@ -106,9 +106,8 @@ def cmd_train(args) -> int:
     spec, params = _load_network_config(args.spec)
     dataset = data_mod.load_csv(args.data, target_column=args.target)
     if dataset.n_features != spec.input_dim:
-        raise ValueError(
-            f"data has {dataset.n_features} features, network wants {spec.input_dim}"
-        )
+        raise ValueError(f"{args.data} has {dataset.n_features} features, "
+                         f"network config {args.spec} wants {spec.input_dim}")
     train_ds, test_ds = data_mod.train_test_split(dataset, args.test_fraction,
                                                   seed=args.seed)
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch,

@@ -9,12 +9,15 @@ independent simulation run and starts from its own initial-voltage draw
 run at the all-zero start. Both backends evaluate the draws of one
 observation in blocks of at most ``_BLOCK_DRAWS``, each block's dropout
 scales drawn in one call: the analog draws of a block are one batched forward
-pass, the spiking draws one batched simulation.
+pass, the spiking draws one batched simulation (``snn._draw_means``: from
+exact spike times when no SoftLIF layer lies downstream of another, else
+stepped tick by tick).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +103,8 @@ def read_samples(path):
 
     Returns ``(meta, groups)`` where groups maps observation_id to
     ``(backend, draws)`` with draws ordered by draw_id; each observation must
-    hold draws 0..n-1 once each from one backend. Errors name the file and the
+    hold draws 0..n-1 once each from one backend in BACKENDS, every prediction
+    finite, and the file at least one data row. Errors name the file and the
     data row (from 1 after the header) or the observation.
     """
     meta = {}
@@ -122,6 +126,10 @@ def read_samples(path):
                     if len(row) != 4:
                         raise ValueError(f"expected 4 fields, got {len(row)}")
                     obs_id, draw_id, backend, pred = int(row[0]), int(row[1]), row[2], float(row[3])
+                    if backend not in BACKENDS:
+                        raise ValueError(f"unknown backend {backend!r}")
+                    if not math.isfinite(pred):
+                        raise ValueError(f"non-finite prediction {row[3]!r}")
                     draws = groups.setdefault(obs_id, {})
                     if draw_id in draws:
                         raise ValueError(f"duplicate draw {draw_id} of observation {obs_id}")
@@ -130,6 +138,8 @@ def read_samples(path):
                     raise ValueError(f"{path}: row {row_num}: {exc}") from None
                 row_num += 1
 
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
     out = {}
     for obs_id, draws in groups.items():
         missing = set(range(len(draws))) - set(draws)

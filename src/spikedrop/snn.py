@@ -1,4 +1,4 @@
-"""Clock-driven simulation of the spiking network, one run per fixed drop-mask.
+"""Simulation of the spiking network: clock-driven runs, one per fixed drop-mask.
 
 Each tick walks the network with the same traversal as the analog forward
 pass (``network._traverse``), with a LIF step in place of the rate curve.
@@ -9,12 +9,18 @@ comparable to the analog activations. As in ``forward``, each layer's output
 is multiplied by its dropout scale; ``dt <= tau_syn`` keeps every filter
 non-negative, so a dropped neuron contributes exactly ``+0.0`` downstream.
 
-The Monte-Carlo draws of one observation are stepped together: one batched
-core (``_simulate_block``) holds each layer's state as a (draws, width)
-array, one row per draw and its dropout scales, and owns the initial-voltage
-seed rule (draw k from ``v0_seed + k``). ``simulate`` is its one-draw case;
-``mcinfer.predictive_distribution`` feeds ``_draw_means`` blocks of draws
-with their scales, and ``_draw_means`` summarizes each draw.
+The Monte-Carlo draws of one observation are evaluated together, each
+layer's state held as a (draws, width) array, one row per draw and its
+dropout scales; every draw starts from its own initial voltages, by one seed
+rule (``_initial_voltages``: draw k from ``v0_seed + k``). ``simulate`` is
+the one-draw case of the clock-driven core (``_simulate_block``).
+``mcinfer.predictive_distribution`` asks ``_draw_means`` for each draw's
+post-burn-in mean. When no SoftLIF layer lies downstream of another (SoftLIF
+towers and an affine head, say), every SoftLIF layer sees a constant current
+and everything after it is affine, so ``_draw_means`` takes the mean from
+each neuron's exact spike ticks, which repeat with a fixed period after the
+first spike, instead of stepping every tick; it agrees with the clock-driven
+tail mean to 1e-12. Other networks are stepped tick by tick.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .convert import SpikingNetwork
 from .network import InvalidNetworkError, _gather_slices, _layer_scales, _traverse
-from .neuron import lif_step_arrays
+from .neuron import NeuronParams, lif_step_arrays
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,153 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
 def _draw_means(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimConfig,
                 first_draw: int, n: int) -> np.ndarray:
     """Post-burn-in mean output of draws ``first_draw .. first_draw + n - 1``
-    of a scalar-output network, simulated together (see ``_simulate_block``);
-    each draw's tail is reduced as ``summarize_trace`` reduces it."""
-    traces = _simulate_block(net, input, scales, sim, first_draw, n)
-    return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
+    of a scalar-output network, evaluated together.
+
+    When every path from input to output crosses at most one SoftLIF layer,
+    each SoftLIF layer sees a current that is constant from tick to tick and
+    everything after it is affine, so the time mean passes through to the
+    spiking layers: one traversal in which each of them returns its neurons'
+    exact mean filtered rate from their spike times (``_spike_train``,
+    ``_tail_means``). It agrees with the tail mean of ``_simulate_block`` to
+    1e-12, the sums being taken in another order. Other networks are stepped
+    tick by tick and each draw's tail reduced as ``summarize_trace`` reduces it.
+    """
+    spec = net.spec
+    if not _one_spiking_layer_per_path(spec):
+        traces = _simulate_block(net, input, scales, sim, first_draw, n)
+        return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
+
+    p = net.neuron_params
+    v0 = _initial_voltages(spec, p, sim, first_draw, n)
+    tail = _tail_means(sim)
+    step = _layer_step(net, scales, lambda i, current: _mean_rate(
+        *_spike_train(current, v0[i], sim, p), tail))
+    return _traverse(spec, _draw_inputs(spec, input, n), step)[:, 0]
+
+
+def _one_spiking_layer_per_path(spec) -> bool:
+    """Whether no SoftLIF layer lies downstream of another: every path runs
+    through one tower and then the head."""
+    def count(layers):
+        return sum(layer.activation == "softlif" for layer in layers)
+    return max(count(enc.layers) for enc in spec.encoders) + count(spec.head) <= 1
+
+
+def _initial_voltages(spec, p: NeuronParams, sim: SimConfig, first_draw: int, n: int) -> dict:
+    """The initial-voltage seed rule: an (n, width) array per SoftLIF layer
+    instance, keyed by its index in layer_instances order. Row k is draw
+    ``first_draw + k``, drawn from ``default_rng(sim.v0_seed + first_draw + k)``
+    layer by layer in that order, uniform in [0, v_th); all zero when
+    ``v0_seed`` is 0."""
+    v = {i: np.zeros((n, layer.out_dim))
+         for i, (_, _, layer, _) in enumerate(spec.layer_instances())
+         if layer.activation == "softlif"}
+    if sim.v0_seed != 0:
+        for k in range(n):
+            v0_rng = np.random.default_rng(sim.v0_seed + first_draw + k)
+            for rows in v.values():
+                rows[k] = v0_rng.uniform(0.0, p.v_th, rows.shape[1])
+    return v
+
+
+def _draw_inputs(spec, input: np.ndarray, n: int) -> list:
+    """Each encoder's gathered input, the same for all ``n`` draws."""
+    rows = np.broadcast_to(input, (n, input.size))
+    return [_gather_slices(spec, enc, rows) for enc in spec.encoders]
+
+
+def _layer_step(net: SpikingNetwork, scales: list, spiking):
+    """The layer step of a traversal over the draws: layer i's affine map,
+    then ``spiking(i, current)`` if it is a SoftLIF layer, then its dropout
+    scale."""
+    instances = list(net.spec.layer_instances())
+    w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
+    b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
+
+    def step(i, a):
+        out = a @ w[i].T + b[i]
+        if instances[i][2].activation == "softlif":
+            out = spiking(i, out)
+        if scales[i] is not None:
+            out = out * scales[i]
+        return out
+
+    return step
+
+
+def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronParams):
+    """The spike ticks of LIF neurons held at a constant ``current`` from
+    voltages ``v0`` (arrays of one shape), as the clock-driven simulation
+    steps them: ticks ``t0 + m * k`` below ``n_steps``.
+
+    Returns ``(t0, k)``; ``t0`` is ``n_steps`` for a neuron that never
+    spikes and ``k`` is ``n_steps`` for one that spikes once. A neuron whose
+    current is below v_th never spikes: each tick moves its voltage toward
+    the current, so it stays below ``max(v0, current) < v_th``. Every other
+    neuron is stepped with ``lif_step_arrays`` until it has spiked twice.
+    A spike leaves the state at exactly ``(0, tau_ref)``, whatever came
+    before, so the ticks from there on repeat the interval between the
+    first two spikes. (Whether and when a neuron just above v_th spikes
+    depends on the rounding of every step, so neither is predicted.)
+    """
+    n_steps = sim.n_steps
+    t0 = np.full(current.size, n_steps)
+    k = np.full(current.size, n_steps)
+    pending = np.flatnonzero(~(current < p.v_th))  # a NaN current is stepped too
+    c = current.reshape(-1)[pending]
+    v = v0.reshape(-1)[pending]
+    refr = np.zeros_like(v)
+    for t in range(n_steps):
+        if not pending.size:
+            break
+        v, refr, spiked = lif_step_arrays(v, refr, c, sim.dt, p)
+        if not spiked.any():
+            continue
+        had_spiked = t0[pending] < n_steps
+        t0[pending[spiked & ~had_spiked]] = t
+        second = spiked & had_spiked
+        if second.any():
+            done = pending[second]
+            k[done] = t - t0[done]
+            keep = ~second
+            pending, c, v, refr = pending[keep], c[keep], v[keep], refr[keep]
+    return t0.reshape(current.shape), k.reshape(current.shape)
+
+
+def _tail_means(sim: SimConfig) -> np.ndarray:
+    """``G[s]``: the post-burn-in mean of the synaptic filter's response to
+    one 1/dt impulse at tick s, by the clock-driven recursion (the bare
+    impulse when ``tau_syn`` is 0); ``G[n_steps]`` is 0, for spikes that
+    never come."""
+    n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
+    response = np.zeros(n)  # filter output u ticks after the impulse
+    if sim.tau_syn > 0:
+        alpha = dt / sim.tau_syn
+        syn = 0.0
+        for u in range(n):
+            syn = syn + alpha * ((1.0 / dt if u == 0 else 0.0) - syn)
+            response[u] = syn
+    else:
+        response[0] = 1.0 / dt
+    # the tail holds ticks burn_in .. n - 1, i.e. response[burn_in - s .. n - 1 - s]
+    csum = np.concatenate([[0.0], np.cumsum(response)])
+    s = np.arange(n)
+    out = np.zeros(n + 1)
+    out[:n] = (csum[n - s] - csum[np.maximum(burn_in - s, 0)]) / (n - burn_in)
+    return out
+
+
+def _mean_rate(t0: np.ndarray, k: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Post-burn-in mean filtered rate of neurons spiking at ticks
+    ``t0 + m * k`` (from _spike_train): ``sum_m tail[t0 + m * k]``, one spike
+    index at a time."""
+    end = tail.size - 1
+    mean = np.zeros(t0.shape)
+    tick = t0
+    while (tick < end).any():
+        mean += tail[np.minimum(tick, end)]
+        tick = tick + k
+    return mean
 
 
 def _simulate_block(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimConfig,
@@ -101,47 +250,29 @@ def _simulate_block(net: SpikingNetwork, input: np.ndarray, scales: list, sim: S
 
     ``scales`` holds per layer instance None or the dropout scales, of shape
     (out_dim,) shared by every draw or (n, out_dim), one row per draw. Row k
-    is draw ``first_draw + k``: it starts from the initial voltages of
-    ``default_rng(sim.v0_seed + first_draw + k)``, drawn layer by layer in
-    layer_instances order (all zero when ``v0_seed`` is 0). Returns the
-    output potentials, shape (n, n_steps, output_dim).
+    is draw ``first_draw + k`` and starts from its initial voltages
+    (``_initial_voltages``). Returns the output potentials, shape
+    (n, n_steps, output_dim).
     """
     spec = net.spec
     p = net.neuron_params
-    instances = list(spec.layer_instances())
-    w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
-    b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
-
     # per-neuron state of spiking layer i: voltage, refractory clock, filter
-    spiking = [i for i, (_, _, layer, _) in enumerate(instances) if layer.activation == "softlif"]
-    v = {i: np.zeros((n, instances[i][2].out_dim)) for i in spiking}
-    refr = {i: np.zeros_like(v[i]) for i in spiking}
-    syn = {i: np.zeros_like(v[i]) for i in spiking}
-    if sim.v0_seed != 0:
-        for k in range(n):
-            v0_rng = np.random.default_rng(sim.v0_seed + first_draw + k)
-            for i in spiking:
-                v[i][k] = v0_rng.uniform(0.0, p.v_th, v[i].shape[1])
+    v = _initial_voltages(spec, p, sim, first_draw, n)
+    refr = {i: np.zeros_like(v[i]) for i in v}
+    syn = {i: np.zeros_like(v[i]) for i in v}
 
     dt = sim.dt
     alpha = dt / sim.tau_syn if sim.tau_syn > 0 else None
 
-    def step(i, a):
-        current = a @ w[i].T + b[i]
-        if i in v:  # spiking layer
-            v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
-            impulse = spiked / dt
-            syn[i] = impulse if alpha is None else syn[i] + alpha * (impulse - syn[i])
-            out = syn[i]
-        else:
-            out = current
-        if scales[i] is not None:
-            out = out * scales[i]
-        return out
+    def lif(i, current):
+        v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
+        impulse = spiked / dt
+        syn[i] = impulse if alpha is None else syn[i] + alpha * (impulse - syn[i])
+        return syn[i]
 
+    step = _layer_step(net, scales, lif)
     # every draw sees the same input; gathered once, not per tick
-    rows = np.broadcast_to(input, (n, input.size))
-    inputs = [_gather_slices(spec, enc, rows) for enc in spec.encoders]
+    inputs = _draw_inputs(spec, input, n)
     traces = np.empty((n, sim.n_steps, spec.output_dim))
     for t in range(sim.n_steps):
         traces[:, t] = _traverse(spec, inputs, step)

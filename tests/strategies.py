@@ -1,5 +1,7 @@
 """Hypothesis strategies and spec and weight helpers shared by the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -41,6 +43,28 @@ def dropout_networks(draw, activation="linear", max_output_dim=2):
         in_dim = width
     spec.output_dim = draw(st.integers(1, max_output_dim))
     spec.head.append(LayerSpec(in_dim, spec.output_dim, "linear"))
+    return spec
+
+
+@st.composite
+def one_spiking_layer_per_path_networks(draw):
+    """Scalar-output ``dropout_networks`` in which some hidden layers are
+    SoftLIF but no SoftLIF layer lies downstream of another: at most one per
+    tower (shared towers alike), or one in the head and none in the towers.
+    Linear layers, with dropout, may sit before and after it."""
+    spec = draw(dropout_networks(max_output_dim=1))
+
+    def spiking(layers, j):
+        layers[j] = replace(layers[j], activation="softlif")
+
+    if len(spec.head) > 1 and draw(st.booleans()):
+        spiking(spec.head, draw(st.integers(0, len(spec.head) - 2)))
+    else:
+        towers = {id(enc.layers): enc.layers for enc in spec.encoders}  # shared once
+        for layers in towers.values():
+            j = draw(st.integers(0, len(layers)))  # len(layers): stays linear
+            if j < len(layers):
+                spiking(layers, j)
     return spec
 
 

@@ -159,18 +159,22 @@ class TestUsageErrors:
 
 
 class TestDataWidth:
-    @pytest.mark.parametrize("command", [["infer"], ["trace", "--row", "0"]],
-                             ids=["infer", "trace"])
+    @pytest.mark.parametrize("command", ["infer", "trace", "train"])
     def test_mismatch_names_both_files(self, workspace, tmp_path, capsys, command):
-        _, _, _, model = workspace
+        _, _, config, model = workspace
         narrow = tmp_path / "narrow.csv"
         assert main(["synth", "--n", "5", "--cell-dim", "2", "--drug-dim", "2",
                      "--out", str(narrow)]) == 0
         capsys.readouterr()
-        assert main(command + ["--model", str(model), "--data", str(narrow),
-                               "--out", str(tmp_path / "o.csv")]) == 1
+        if command == "train":
+            argv, wanted_by = ["train", "--spec", str(config)], f"network config {config}"
+        else:
+            argv, wanted_by = [command, "--model", str(model)], f"model {model}"
+        if command == "trace":
+            argv += ["--row", "0"]
+        assert main(argv + ["--data", str(narrow), "--out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
-        assert f"{narrow} has 6 features, model {model} wants 9" in err
+        assert f"{narrow} has 6 features, {wanted_by} wants 9" in err
         assert not (tmp_path / "o.csv").exists()
 
 
@@ -317,7 +321,15 @@ class TestCompare:
         (lambda rows: rows[:2] + ["0,2,analog"] + rows[3:], "row 3: expected 4 fields, got 3"),
         (lambda rows: rows + [rows[44]], "row 321: duplicate draw 4 of observation 1"),
         (lambda rows: rows[:45] + rows[46:], "observation 1: missing draw 5"),
-    ], ids=["short-row", "duplicate-draw", "missing-draw"])
+        (lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0] + ",nan"] + rows[4:],
+         "row 4: non-finite prediction 'nan'"),
+        (lambda rows: rows[:6] + [rows[6].rsplit(",", 1)[0] + ",-inf"] + rows[7:],
+         "row 7: non-finite prediction '-inf'"),
+        (lambda rows: rows[:8] + [rows[8].replace(",analog,", ",quantum,")] + rows[9:],
+         "row 9: unknown backend 'quantum'"),
+        (lambda rows: [], "no data rows"),
+    ], ids=["short-row", "duplicate-draw", "missing-draw", "nan", "inf", "unknown-backend",
+            "header-only"])
     def test_malformed_samples_file_names_file_and_row(self, workspace, tmp_path, capsys,
                                                        defect, message):
         a = self.make_samples(workspace, tmp_path, 0, "good.csv")

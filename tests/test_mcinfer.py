@@ -244,7 +244,8 @@ class TestSamplesFile:
                                 st.text("abcdefghij0123456789._-", max_size=12), max_size=3))
     def test_round_trip_reproduces_every_bit(self, ids, data, meta):
         sets = [SampleSet(obs_id,
-                          np.array(data.draw(st.lists(st.floats(allow_nan=False),
+                          np.array(data.draw(st.lists(st.floats(allow_nan=False,
+                                                                allow_infinity=False),
                                                       min_size=1, max_size=20))),
                           data.draw(st.sampled_from(BACKENDS)), 0)
                 for obs_id in ids]
@@ -258,6 +259,14 @@ class TestSamplesFile:
             backend, draws = groups[ss.observation_id]
             assert backend == ss.backend
             assert draws.dtype == np.float64 and draws.tobytes() == ss.draws.tobytes()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_prediction_rejected(self, tmp_path, value):
+        # predictive draws are finite; the reader refuses a file that says otherwise
+        path = tmp_path / "s.csv"
+        write_samples(path, [SampleSet(3, np.array([0.5, value]), "spiking", 0)])
+        with pytest.raises(ValueError, match=f"{path}: row 2: non-finite prediction"):
+            read_samples(path)
 
     def test_draw_order_restored(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -6,18 +6,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spikedrop.convert import convert
+from spikedrop import snn
 from spikedrop.mcinfer import _BLOCK_DRAWS, predictive_distribution
 from spikedrop.network import (
     DropMasks,
     EncoderSpec,
     LayerSpec,
     NetworkSpec,
+    _draw_scales,
     forward,
     init_weights,
     sample_masks,
 )
-from spikedrop.neuron import NeuronParams, lif_rate
-from strategies import dropout_networks, single_tower
+from spikedrop.neuron import NeuronParams, lif_rate, lif_step_arrays
+from strategies import dropout_networks, one_spiking_layer_per_path_networks, single_tower
 from spikedrop.snn import (
     OutputTrace,
     SimConfig,
@@ -45,15 +47,20 @@ def one_neuron_net(weight=1.0, bias=0.0, readout=1.0):
     return convert(spec, w, P)
 
 
-def rate_bank_net(currents):
-    """One layer of neurons at fixed drives, identity readout per neuron."""
-    n = len(currents)
-    spec = NetworkSpec(
+def rate_bank_spec(n):
+    """One layer of n spiking neurons, each read out on its own output."""
+    return NetworkSpec(
         input_slices=[("x", 0, 1)],
         encoders=[EncoderSpec(["x"], [LayerSpec(1, n, "softlif")])],
         head=[LayerSpec(n, n, "linear")],
         output_dim=n,
     )
+
+
+def rate_bank_net(currents):
+    """One layer of neurons at fixed drives, identity readout per neuron."""
+    n = len(currents)
+    spec = rate_bank_spec(n)
     w = init_weights(spec, seed=0)
     w.weights["enc0:0"][:] = 0.0
     w.biases["enc0:0"][:] = np.asarray(currents, dtype=float)
@@ -422,6 +429,188 @@ class TestBatchedDraws:
         want = per_draw_means(convert(spec, w, P), x, masks, sim)
         assert len(np.unique(got)) > 2  # the draws differ: masks and v0 act
         assert np.array_equal(got, want)
+
+
+ONE_ULP_BELOW = np.nextafter(1.0, 0.0)
+ONE_ULP_ABOVE = np.nextafter(1.0, 2.0)
+# v_th = 1 in every NeuronParams below; never-spiking, boundary, slow and fast drives
+EDGE_CURRENTS = np.array([-3.0, 0.0, 0.5, ONE_ULP_BELOW, 1.0, ONE_ULP_ABOVE, 1.0000001,
+                          1.001, 1.05, 1.5, 2.0, 4.0, 50.0, 1e9, np.nan])
+
+
+def replay_raster(current, v0, sim, p):
+    """The clock-driven spike raster (n_steps, neurons) of LIF neurons at a
+    constant current: lif_step_arrays on every neuron, every tick."""
+    v, refr = v0.copy(), np.zeros_like(v0)
+    raster = np.zeros((sim.n_steps, current.size), dtype=bool)
+    for t in range(sim.n_steps):
+        v, refr, raster[t] = lif_step_arrays(v, refr, current, sim.dt, p)
+    return raster
+
+
+def event_raster(t0, k, n_steps):
+    """The raster of spikes at ticks t0 + m * k below n_steps."""
+    ticks = np.arange(n_steps)[:, None]
+    return (ticks >= t0) & ((ticks - t0) % k == 0)
+
+
+def clock_means(net, x, scales, sim, n):
+    """The clock-driven post-burn-in mean of each draw."""
+    traces = snn._simulate_block(net, x, scales, sim, 0, n)
+    return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
+
+
+HEAD_ONLY_SPIKING = NetworkSpec(
+    input_slices=[("c", 0, 2), ("a", 2, 3)],
+    encoders=[EncoderSpec(["c"]), EncoderSpec(["a", "c"])],
+    head=[LayerSpec(7, 5, "softlif", 0.5), LayerSpec(5, 3, "linear", 0.8),
+          LayerSpec(3, 1, "linear")],
+    output_dim=1,
+)
+
+
+class TestSpikeTrain:
+    """The spike ticks _spike_train gives are those of a tick-by-tick replay."""
+
+    @pytest.mark.parametrize("tau_ref", [0.0, 0.002, 0.02])
+    @pytest.mark.parametrize("v0_seed", [0, 1, 99])
+    @pytest.mark.parametrize("n_steps", [1, 30, 400, 3000])
+    def test_ticks_equal_replay(self, tau_ref, v0_seed, n_steps):
+        p = NeuronParams(tau_ref=tau_ref)
+        sim = SimConfig(n_steps=n_steps, burn_in_steps=0, v0_seed=v0_seed)
+        current = np.tile(EDGE_CURRENTS, (3, 1))
+        v0 = snn._initial_voltages(rate_bank_spec(EDGE_CURRENTS.size), p, sim, 0, 3)[0]
+        if v0_seed:
+            v0[2, :4] = ONE_ULP_BELOW  # starts one ulp below threshold
+        with np.errstate(invalid="ignore"):
+            want = replay_raster(current.ravel(), v0.ravel(), sim, p)
+        t0, k = snn._spike_train(current, v0, sim, p)
+        assert t0.shape == k.shape == current.shape
+        assert np.array_equal(event_raster(t0.ravel(), k.ravel(), n_steps), want)
+
+    def test_boundary_currents(self):
+        # from rest, v_th + 1 ulp never reaches threshold in 3000 ticks and
+        # 1.0000001 first spikes at tick 322, then every 325 ticks
+        sim = SimConfig(n_steps=3000, burn_in_steps=0, v0_seed=0)
+        current = np.array([ONE_ULP_BELOW, 1.0, ONE_ULP_ABOVE, 1.0000001])
+        t0, k = snn._spike_train(current, np.zeros(4), sim, P)
+        assert np.array_equal(t0, [3000, 3000, 3000, 322])
+        assert k[3] == 325
+
+    def test_period_longer_than_the_rest_of_the_run(self):
+        # the second spike (tick 647) falls after the run: one spike, k = n_steps
+        sim = SimConfig(n_steps=400, burn_in_steps=0, v0_seed=0)
+        t0, k = snn._spike_train(np.array([1.0000001]), np.zeros(1), sim, P)
+        assert t0[0] == 322 and k[0] == 400
+
+    def test_subthreshold_neurons_are_never_stepped(self, monkeypatch):
+        sizes = []
+
+        def counting_step(v, *args):
+            sizes.append(v.size)
+            return lif_step_arrays(v, *args)
+
+        monkeypatch.setattr(snn, "lif_step_arrays", counting_step)
+        sim = SimConfig(n_steps=200, burn_in_steps=0)
+        current = np.array([[0.2, 1.5, ONE_ULP_BELOW, -4.0], [1.5, 0.9, 0.0, 3.0]])
+        t0, _ = snn._spike_train(current, np.zeros(current.shape), sim, P)
+        assert max(sizes) == 3 and (t0 == 200).sum() == 5
+        sizes.clear()
+        below = np.array([[0.2, ONE_ULP_BELOW, -4.0], [0.9, 0.0, 0.999]])
+        t0, _ = snn._spike_train(below, np.full(below.shape, ONE_ULP_BELOW), sim, P)
+        assert (t0 == 200).all()
+        assert sizes == []
+
+
+class TestTailMeans:
+    def test_unfiltered_tail_is_the_bare_impulse(self):
+        sim = SimConfig(n_steps=10, burn_in_steps=4, tau_syn=0.0)
+        want = np.zeros(11)
+        want[4:10] = 1.0 / sim.dt / 6
+        assert np.array_equal(snn._tail_means(sim), want)
+
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    def test_filtered_tail_equals_the_recursion(self, burn_in):
+        # one impulse at tick s, stepped by the clock-driven filter recursion
+        sim = SimConfig(n_steps=30, burn_in_steps=burn_in, tau_syn=0.005)
+        alpha = sim.dt / sim.tau_syn
+        tail = snn._tail_means(sim)
+        for s in range(30):
+            syn, out = 0.0, np.zeros(30)
+            for t in range(30):
+                syn = syn + alpha * ((1.0 / sim.dt if t == s else 0.0) - syn)
+                out[t] = syn
+            assert tail[s] == pytest.approx(out[burn_in:].mean(), rel=1e-13, abs=1e-12)
+        assert tail[30] == 0.0
+
+
+class TestEventDrivenDraws:
+    """When no SoftLIF layer lies downstream of another, _draw_means takes
+    each draw's mean from spike times; it equals the clock-driven tail mean
+    to 1e-12. Other specs keep the clock-driven path, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spec=one_spiking_layer_per_path_networks(), seed=st.integers(0, 2 ** 32 - 1),
+           n_draws=st.integers(1, 6), v0_seed=st.sampled_from([0, 1, 2 ** 31]),
+           tau_syn=st.sampled_from([0.0, 0.005]), burn_in=st.sampled_from([0, 30]),
+           tau_ref=st.sampled_from([0.0, 0.002, 0.02]))
+    @example(spec=HEAD_ONLY_SPIKING, seed=2, n_draws=5, v0_seed=1, tau_syn=0.005,
+             burn_in=30, tau_ref=0.002)
+    @example(spec=HEAD_ONLY_SPIKING, seed=3, n_draws=4, v0_seed=0, tau_syn=0.0,
+             burn_in=0, tau_ref=0.0)
+    def test_event_means_equal_clock_means(self, spec, seed, n_draws, v0_seed, tau_syn,
+                                           burn_in, tau_ref):
+        assert snn._one_spiking_layer_per_path(spec)
+        p = NeuronParams(tau_ref=tau_ref)
+        w = init_weights(spec, seed=seed)
+        net = convert(spec, w, p)
+        x = np.random.default_rng(seed).normal(size=spec.input_dim)
+        sim = SimConfig(n_steps=150, burn_in_steps=burn_in, tau_syn=tau_syn, v0_seed=v0_seed)
+        scales = _draw_scales(spec, range(seed, seed + n_draws))
+        got = snn._draw_means(net, x, scales, sim, 0, n_draws)
+        assert np.allclose(got, clock_means(net, x, scales, sim, n_draws),
+                           rtol=1e-12, atol=1e-12)
+
+    def test_head_only_spiking_draws_spike(self):
+        # the head example above is not vacuous: its SoftLIF layer spikes
+        w = init_weights(HEAD_ONLY_SPIKING, seed=2)
+        net = convert(HEAD_ONLY_SPIKING, w, P)
+        x = np.random.default_rng(2).normal(size=5)
+        sim = SimConfig(n_steps=150, burn_in_steps=30)
+        v0 = snn._initial_voltages(HEAD_ONLY_SPIKING, P, sim, 0, 1)[0]
+        current = np.concatenate([x[:2], x[2:], x[:2]]) @ w.weights["head:0"].T + w.biases["head:0"]
+        t0, _ = snn._spike_train(current[None, :], v0, sim, P)
+        assert (t0 < sim.n_steps).any()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(spec=dropout_networks("softlif", max_output_dim=1),
+           seed=st.integers(0, 2 ** 32 - 1), n_draws=st.integers(1, 4))
+    def test_nested_spiking_layers_stay_on_the_clock_path(self, spec, seed, n_draws):
+        assume(not snn._one_spiking_layer_per_path(spec))
+        net = convert(spec, init_weights(spec, seed=seed), P)
+        x = np.random.default_rng(seed).normal(size=spec.input_dim)
+        sim = SimConfig(n_steps=60, burn_in_steps=10)
+        scales = _draw_scales(spec, range(seed, seed + n_draws))
+        got = snn._draw_means(net, x, scales, sim, 0, n_draws)
+        assert np.array_equal(got, clock_means(net, x, scales, sim, n_draws))
+
+    @pytest.mark.parametrize("towers, head, eligible", [
+        ([["softlif"], ["linear", "softlif", "linear"], []], ["linear"], True),
+        ([[], ["linear"]], ["softlif", "linear", "linear"], True),
+        ([["linear"]], ["linear"], True),
+        ([["softlif", "softlif"]], ["linear"], False),
+        ([["softlif"], []], ["softlif", "linear"], False),
+        ([[]], ["softlif", "softlif", "linear"], False),
+    ])
+    def test_eligibility(self, towers, head, eligible):
+        spec = NetworkSpec(
+            input_slices=[("x", 0, 1)],
+            encoders=[EncoderSpec(["x"], [LayerSpec(1, 1, act) for act in acts])
+                      for acts in towers],
+            head=[LayerSpec(1, 1, act) for act in head],
+            output_dim=1,
+        )
+        assert snn._one_spiking_layer_per_path(spec) is eligible
 
 
 class TestSummarizeTrace:
