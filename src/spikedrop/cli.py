@@ -110,6 +110,10 @@ def cmd_train(args) -> int:
                          f"network config {args.spec} wants {spec.input_dim}")
     train_ds, test_ds = data_mod.train_test_split(dataset, args.test_fraction,
                                                   seed=args.seed)
+    if not len(train_ds) or not len(test_ds):
+        empty = "training" if not len(train_ds) else "test"
+        raise ValueError(f"{args.data} has {len(dataset)} rows: --test-fraction "
+                         f"{args.test_fraction} leaves the {empty} part empty")
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                learning_rate=args.lr, seed=args.seed)
     weights, history = training.train(spec, train_ds, cfg, params,

@@ -17,7 +17,7 @@ import numpy as np
 
 
 class DataFormatError(ValueError):
-    """Malformed input file (ragged row, non-numeric cell, missing column)."""
+    """Malformed input file (ragged row, non-numeric or non-finite cell, missing column)."""
 
 
 @dataclass
@@ -38,7 +38,8 @@ def load_csv(path, target_column: str) -> Dataset:
     """Parse a comma-separated file with a header row into a Dataset.
 
     Column order is preserved; the target column is extracted. Malformed
-    cells are reported with their data row number and column name.
+    cells (non-numeric, or NaN or infinite) are reported with their data row
+    number and column name.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -51,8 +52,8 @@ def load_csv(path, target_column: str) -> Dataset:
             raise DataFormatError(f"{path}: target column {target_column!r} not found")
         t_idx = header.index(target_column)
 
-        features = []
-        targets = []
+        rows = []
+        row_nums = []
         for row_num, row in enumerate(reader, start=1):
             if not row:
                 continue
@@ -69,14 +70,20 @@ def load_csv(path, target_column: str) -> Dataset:
                         f"{path}: row {row_num}, column {col!r}: "
                         f"non-numeric value {cell.strip()!r}"
                     ) from None
-            targets.append(values.pop(t_idx))
-            features.append(values)
+            rows.append(values)
+            row_nums.append(row_num)
 
-    if not features:
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    table = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(f"{path}: row {row_nums[r]}, column {header[c]!r}: "
+                              f"non-finite value {float(table[r, c])!r}")
     names = [h for i, h in enumerate(header) if i != t_idx]
-    return Dataset(features=np.array(features, dtype=float),
-                   targets=np.array(targets, dtype=float), feature_names=names)
+    return Dataset(features=np.delete(table, t_idx, axis=1),
+                   targets=table[:, t_idx].copy(), feature_names=names)
 
 
 def save_csv(path, dataset: Dataset, target_column: str = "target") -> None:

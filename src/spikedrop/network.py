@@ -311,22 +311,31 @@ def _draw_keep(instances: list, seeds) -> list:
     per seed: a boolean (len(seeds), out_dim) keep mask per instance, None
     for the output layer and keep_prob == 1 layers.
 
-    Draw ``seed`` makes one ``default_rng(seed).random`` call as long as the
-    summed width of the keep_prob < 1 layers and keeps a neuron where its
-    uniform, sliced in layer_instances order, is below keep_prob. These are
-    the bits of one ``random(out_dim)`` call per such layer, in that order.
+    Draw ``seed`` keeps a neuron where its uniform from ``_stream_uniforms``,
+    over the keep_prob < 1 layers, is below keep_prob.
     """
     widths = [0 if is_output or layer.keep_prob == 1.0 else layer.out_dim
               for _, _, layer, is_output in instances]
-    total = sum(widths)
+    blocks = _split_columns(_stream_uniforms(seeds, sum(widths)), widths)
+    return [u < layer.keep_prob if width else None
+            for (_, _, layer, _), width, u in zip(instances, widths, blocks)]
+
+
+def _stream_uniforms(seeds, total: int) -> np.ndarray:
+    """The stream rule of drop masks (``_draw_keep``) and initial voltages
+    (``snn._initial_voltages``): row k is ``default_rng(seeds[k]).random(total)``,
+    which the caller slices into one block per layer instance it draws for,
+    in layer_instances order (``_split_columns``). These are the bits of one
+    ``random(width)`` call per such layer, in that order."""
     uniform = np.empty((len(seeds), total))
     for k, seed in enumerate(seeds):
         uniform[k] = np.random.default_rng(seed).random(total)
-    out, start = [], 0
-    for (_, _, layer, _), width in zip(instances, widths):
-        out.append(uniform[:, start:start + width] < layer.keep_prob if width else None)
-        start += width
-    return out
+    return uniform
+
+
+def _split_columns(a: np.ndarray, widths) -> list:
+    """``a`` (rows, sum(widths)) as one column block (a view) per width, in order."""
+    return np.split(a, np.cumsum(widths, dtype=int)[:-1], axis=1)
 
 
 class LayerRecord(NamedTuple):

@@ -18,19 +18,28 @@ the one-draw case of the clock-driven core (``_simulate_block``).
 post-burn-in mean. When no SoftLIF layer lies downstream of another (SoftLIF
 towers and an affine head, say), every SoftLIF layer sees a constant current
 and everything after it is affine, so ``_draw_means`` takes the mean from
-each neuron's exact spike ticks, which repeat with a fixed period after the
-first spike, instead of stepping every tick; it agrees with the clock-driven
-tail mean to 1e-12. Other networks are stepped tick by tick.
+each neuron's exact spike ticks instead of stepping every tick; it agrees
+with the clock-driven tail mean to 1e-12. The spike ticks of all SoftLIF
+layers of a block of draws come from one stepping loop (``_spike_train``):
+each neuron is stepped to its first spike, and the fixed period after it
+from one replay per distinct current. Other networks are stepped tick by
+tick.
+
+Two values are cached, read-only and bounded: the v0 uniforms of a block of
+draws (``_v0_uniforms``), which every observation of a run shares, and the
+filter tail means of a ``SimConfig`` (``_tail_means``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .convert import SpikingNetwork
-from .network import InvalidNetworkError, _gather_slices, _layer_scales, _traverse
+from .network import (InvalidNetworkError, _gather_slices, _layer_scales, _split_columns,
+                      _stream_uniforms, _traverse)
 from .neuron import NeuronParams, lif_step_arrays
 
 
@@ -99,11 +108,14 @@ def _draw_means(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimCo
     When every path from input to output crosses at most one SoftLIF layer,
     each SoftLIF layer sees a current that is constant from tick to tick and
     everything after it is affine, so the time mean passes through to the
-    spiking layers: one traversal in which each of them returns its neurons'
-    exact mean filtered rate from their spike times (``_spike_train``,
-    ``_tail_means``). It agrees with the tail mean of ``_simulate_block`` to
-    1e-12, the sums being taken in another order. Other networks are stepped
-    tick by tick and each draw's tail reduced as ``summarize_trace`` reduces it.
+    spiking layers. One traversal collects every SoftLIF layer's current (no
+    SoftLIF layer feeds another, so none depends on a spiking output), one
+    ``_spike_train`` call times the spikes of all their neurons at once, and
+    a second traversal carries each neuron's exact mean filtered rate
+    (``_mean_rate``, ``_tail_means``) to the output. It agrees with the tail
+    mean of ``_simulate_block`` to 1e-12, the sums being taken in another
+    order. Other networks are stepped tick by tick and each draw's tail
+    reduced as ``summarize_trace`` reduces it.
     """
     spec = net.spec
     if not _one_spiking_layer_per_path(spec):
@@ -111,11 +123,25 @@ def _draw_means(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimCo
         return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
 
     p = net.neuron_params
+    inputs = _draw_inputs(spec, input, n)
+    currents = {}
+
+    def collect(i, current):
+        currents[i] = current
+        return np.zeros_like(current)  # a placeholder: only affine layers take it in
+
+    _traverse(spec, inputs, _layer_step(net, scales, collect))
     v0 = _initial_voltages(spec, p, sim, first_draw, n)
-    tail = _tail_means(sim)
-    step = _layer_step(net, scales, lambda i, current: _mean_rate(
-        *_spike_train(current, v0[i], sim, p), tail))
-    return _traverse(spec, _draw_inputs(spec, input, n), step)[:, 0]
+    t0, k = _spike_train(_concat_flat(currents), _concat_flat(v0), sim, p)
+    means = np.split(_mean_rate(t0, k, _tail_means(sim)),
+                     np.cumsum([c.size for c in currents.values()], dtype=int)[:-1])
+    rates = {i: m.reshape(c.shape) for (i, c), m in zip(currents.items(), means)}
+    return _traverse(spec, inputs, _layer_step(net, scales, lambda i, _: rates[i]))[:, 0]
+
+
+def _concat_flat(blocks: dict) -> np.ndarray:
+    """The arrays of ``blocks`` raveled and laid end to end, in key order."""
+    return np.concatenate([np.empty(0), *(b.ravel() for b in blocks.values())])
 
 
 def _one_spiking_layer_per_path(spec) -> bool:
@@ -131,16 +157,27 @@ def _initial_voltages(spec, p: NeuronParams, sim: SimConfig, first_draw: int, n:
     instance, keyed by its index in layer_instances order. Row k is draw
     ``first_draw + k``, drawn from ``default_rng(sim.v0_seed + first_draw + k)``
     layer by layer in that order, uniform in [0, v_th); all zero when
-    ``v0_seed`` is 0."""
-    v = {i: np.zeros((n, layer.out_dim))
-         for i, (_, _, layer, _) in enumerate(spec.layer_instances())
-         if layer.activation == "softlif"}
-    if sim.v0_seed != 0:
-        for k in range(n):
-            v0_rng = np.random.default_rng(sim.v0_seed + first_draw + k)
-            for rows in v.values():
-                rows[k] = v0_rng.uniform(0.0, p.v_th, rows.shape[1])
-    return v
+    ``v0_seed`` is 0. The arrays are new on every call."""
+    widths = {i: layer.out_dim for i, (_, _, layer, _) in enumerate(spec.layer_instances())
+              if layer.activation == "softlif"}
+    total = sum(widths.values())
+    if sim.v0_seed == 0:
+        v = np.zeros((n, total))
+    else:
+        # uniform(0.0, v_th) returns 0.0 + v_th * u for the same u, and adding
+        # 0.0 changes no bit of the non-negative product
+        v = p.v_th * _v0_uniforms(sim.v0_seed + first_draw, n, total)
+    return dict(zip(widths, _split_columns(v, list(widths.values()))))
+
+
+@lru_cache(maxsize=8)
+def _v0_uniforms(first_seed: int, n: int, total: int) -> np.ndarray:
+    """Read-only ``_stream_uniforms`` of seeds ``first_seed .. first_seed + n - 1``.
+    Every observation of a run starts its blocks of draws from the same v0
+    seeds, so the blocks are drawn once and reused."""
+    uniform = _stream_uniforms(range(first_seed, first_seed + n), total)
+    uniform.flags.writeable = False
+    return uniform
 
 
 def _draw_inputs(spec, input: np.ndarray, n: int) -> list:
@@ -177,41 +214,47 @@ def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronP
     spikes and ``k`` is ``n_steps`` for one that spikes once. A neuron whose
     current is below v_th never spikes: each tick moves its voltage toward
     the current, so it stays below ``max(v0, current) < v_th``. Every other
-    neuron is stepped with ``lif_step_arrays`` until it has spiked twice.
-    A spike leaves the state at exactly ``(0, tau_ref)``, whatever came
-    before, so the ticks from there on repeat the interval between the
-    first two spikes. (Whether and when a neuron just above v_th spikes
-    depends on the rounding of every step, so neither is predicted.)
+    neuron is stepped with ``lif_step_arrays`` until its first spike. A
+    spike leaves the state at exactly ``(0, tau_ref)``, whatever came
+    before, so every later interval is that of a neuron at the same current
+    started from ``(0, tau_ref)``: one such replay per distinct current is
+    stepped alongside, as extra rows of the same loop, and its first spike
+    at tick r gives ``k = r + 1``. (Whether and when a neuron just above
+    v_th spikes depends on the rounding of every step, so neither is
+    predicted.)
     """
     n_steps = sim.n_steps
-    t0 = np.full(current.size, n_steps)
-    k = np.full(current.size, n_steps)
-    pending = np.flatnonzero(~(current < p.v_th))  # a NaN current is stepped too
-    c = current.reshape(-1)[pending]
-    v = v0.reshape(-1)[pending]
-    refr = np.zeros_like(v)
+    flat = current.reshape(-1)
+    pending = np.flatnonzero(~(flat < p.v_th))  # a NaN current is stepped too
+    distinct, replay_of = np.unique(flat[pending], return_inverse=True)
+    # the pending neurons from (v0, 0), then the replays from (0, tau_ref)
+    c = np.concatenate([flat[pending], distinct])
+    v = np.concatenate([v0.reshape(-1)[pending], np.zeros(distinct.size)])
+    refr = np.concatenate([np.zeros(pending.size), np.full(distinct.size, p.tau_ref)])
+    rows = np.arange(c.size)
+    first = np.full(c.size, n_steps)  # each row's first spike tick
     for t in range(n_steps):
-        if not pending.size:
+        if not rows.size:
             break
         v, refr, spiked = lif_step_arrays(v, refr, c, sim.dt, p)
-        if not spiked.any():
-            continue
-        had_spiked = t0[pending] < n_steps
-        t0[pending[spiked & ~had_spiked]] = t
-        second = spiked & had_spiked
-        if second.any():
-            done = pending[second]
-            k[done] = t - t0[done]
-            keep = ~second
-            pending, c, v, refr = pending[keep], c[keep], v[keep], refr[keep]
+        if spiked.any():
+            first[rows[spiked]] = t
+            keep = ~spiked
+            rows, c, v, refr = rows[keep], c[keep], v[keep], refr[keep]
+    t0 = np.full(flat.size, n_steps)
+    k = np.full(flat.size, n_steps)
+    t0[pending] = first[:pending.size]
+    k[pending] = first[pending.size:][replay_of] + 1
+    k[t0 + k >= n_steps] = n_steps  # no second spike inside the run
     return t0.reshape(current.shape), k.reshape(current.shape)
 
 
+@lru_cache(maxsize=8)
 def _tail_means(sim: SimConfig) -> np.ndarray:
     """``G[s]``: the post-burn-in mean of the synaptic filter's response to
     one 1/dt impulse at tick s, by the clock-driven recursion (the bare
     impulse when ``tau_syn`` is 0); ``G[n_steps]`` is 0, for spikes that
-    never come."""
+    never come. Read-only, and computed once per ``SimConfig``."""
     n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
     response = np.zeros(n)  # filter output u ticks after the impulse
     if sim.tau_syn > 0:
@@ -227,6 +270,7 @@ def _tail_means(sim: SimConfig) -> np.ndarray:
     s = np.arange(n)
     out = np.zeros(n + 1)
     out[:n] = (csum[n - s] - csum[np.maximum(burn_in - s, 0)]) / (n - burn_in)
+    out.flags.writeable = False
     return out
 
 

@@ -72,6 +72,21 @@ class TestTrain:
                      str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("n, fraction, empty", [("2", "0.25", "test"),
+                                                     ("1", "0.9", "training")])
+    def test_split_leaving_an_empty_part_is_runtime_error(self, tmp_path, workspace, capsys,
+                                                          n, fraction, empty):
+        _, _, config, _ = workspace
+        tiny = tmp_path / "tiny.csv"
+        assert main(["synth", "--n", n, "--cell-dim", "3", "--drug-dim", "3",
+                     "--out", str(tiny)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--spec", str(config), "--data", str(tiny), "--test-fraction",
+                     fraction, "--out", str(tmp_path / "m.json")]) == 1
+        assert (f"{tiny} has {n} rows: --test-fraction {fraction} leaves the {empty} part empty"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--spec", "x.json"])
@@ -175,6 +190,25 @@ class TestDataWidth:
         assert main(argv + ["--data", str(narrow), "--out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert f"{narrow} has 6 features, {wanted_by} wants 9" in err
+        assert not (tmp_path / "o.csv").exists()
+
+
+    @pytest.mark.parametrize("command", ["infer", "trace", "train"])
+    def test_non_finite_cell_names_file_row_and_column(self, workspace, tmp_path, capsys,
+                                                       command):
+        root, data, config, model = workspace
+        rows = data.read_text().splitlines()
+        cells = rows[3].split(",")
+        cells[4] = "nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows[:3] + [",".join(cells)] + rows[4:]) + "\n")
+        if command == "train":
+            argv = ["train", "--spec", str(config)]
+        else:
+            argv = [command, "--model", str(model)] + (["--row", "0"] if command == "trace" else [])
+        assert main(argv + ["--data", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+        column = rows[0].split(",")[4]
+        assert f"{bad}: row 3, column {column!r}: non-finite value nan" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
 

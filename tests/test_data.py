@@ -42,6 +42,18 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 2, column 'x'"):
             load_csv(path, "target")
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", ["x", "target"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        # the blank line still counts as a row, as in the non-numeric message
+        path = tmp_path / "d.csv"
+        row = f"{cell},3" if column == "x" else f"1,{cell}"
+        path.write_text(f"x,target\n1,2\n\n{row}\n5,6\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, "target")
+        value = repr(float(cell))
+        assert str(exc.value) == f"{path}: row 3, column {column!r}: non-finite value {value}"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,target\n1,2,3\n4,5\n")

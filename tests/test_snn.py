@@ -503,23 +503,133 @@ class TestSpikeTrain:
         t0, k = snn._spike_train(np.array([1.0000001]), np.zeros(1), sim, P)
         assert t0[0] == 322 and k[0] == 400
 
+    @pytest.mark.parametrize("n_steps, k", [(647, 647), (648, 325)])
+    def test_second_spike_at_the_end_of_the_run(self, n_steps, k):
+        # spikes at ticks 322 and 647: the second one falls just outside a
+        # 647-tick run and on the last tick of a 648-tick run
+        sim = SimConfig(n_steps=n_steps, burn_in_steps=0, v0_seed=0)
+        t0, got = snn._spike_train(np.array([1.0000001]), np.zeros(1), sim, P)
+        assert t0[0] == 322 and got[0] == k
+
     def test_subthreshold_neurons_are_never_stepped(self, monkeypatch):
-        sizes = []
+        stepped = []
 
-        def counting_step(v, *args):
-            sizes.append(v.size)
-            return lif_step_arrays(v, *args)
+        def recording_step(v, refr, current, *args):
+            stepped.append(np.array(current))
+            return lif_step_arrays(v, refr, current, *args)
 
-        monkeypatch.setattr(snn, "lif_step_arrays", counting_step)
+        monkeypatch.setattr(snn, "lif_step_arrays", recording_step)
         sim = SimConfig(n_steps=200, burn_in_steps=0)
-        current = np.array([[0.2, 1.5, ONE_ULP_BELOW, -4.0], [1.5, 0.9, 0.0, 3.0]])
+        current = np.array([[0.2, 1.5, ONE_ULP_BELOW, -4.0, np.nan],
+                            [1.5, 0.9, 0.0, 3.0, 2.0]])
         t0, _ = snn._spike_train(current, np.zeros(current.shape), sim, P)
-        assert max(sizes) == 3 and (t0 == 200).sum() == 5
-        sizes.clear()
+        assert (t0 == 200).sum() == 6
+        assert stepped
+        for c in stepped:
+            assert ((c >= P.v_th) | np.isnan(c)).all()
+        stepped.clear()
         below = np.array([[0.2, ONE_ULP_BELOW, -4.0], [0.9, 0.0, 0.999]])
         t0, _ = snn._spike_train(below, np.full(below.shape, ONE_ULP_BELOW), sim, P)
         assert (t0 == 200).all()
-        assert sizes == []
+        assert stepped == []
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), tau_ref=st.sampled_from([0.0, 0.002, 0.02]),
+           n_steps=st.sampled_from([1, 2, 40, 400]), v0_seed=st.sampled_from([0, 3]))
+    def test_ticks_equal_second_spike_stepping(self, data, tau_ref, n_steps, v0_seed):
+        # few distinct currents, each shared by many neuron-draws: per column,
+        # one base current, scaled per draw as a dropout mask scales its input
+        p = NeuronParams(tau_ref=tau_ref)
+        sim = SimConfig(n_steps=n_steps, burn_in_steps=0, v0_seed=v0_seed)
+        base = data.draw(st.lists(st.one_of(
+            st.sampled_from([ONE_ULP_BELOW, 1.0, ONE_ULP_ABOVE, 1.0000001, 1.05, 2.0,
+                             np.nan, np.inf, -np.inf]),
+            st.floats(0.5, 60.0)), min_size=1, max_size=5))
+        n_draws = data.draw(st.integers(1, 8))
+        scale = data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0, 1.0, 1 / 0.9, 2.0]),
+                                            min_size=len(base), max_size=len(base)),
+                                   min_size=n_draws, max_size=n_draws))
+        v0 = np.zeros((n_draws, len(base)))
+        if v0_seed:
+            v0 = np.random.default_rng(v0_seed).uniform(0.0, p.v_th, v0.shape)
+        with np.errstate(invalid="ignore"):  # 0 * inf here, inf - inf stepping inf
+            current = np.array(scale) * np.array(base)
+            want = second_spike_train(current, v0, sim, p)
+            got = snn._spike_train(current, v0, sim, p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def second_spike_train(current, v0, sim, p):
+    """The reference for _spike_train: every neuron that is not below v_th
+    stepped with lif_step_arrays until its second spike (or the end of the
+    run); k is the distance between its first two spikes."""
+    n_steps = sim.n_steps
+    t0 = np.full(current.size, n_steps)
+    k = np.full(current.size, n_steps)
+    pending = np.flatnonzero(~(current < p.v_th))
+    c = current.reshape(-1)[pending]
+    v = v0.reshape(-1)[pending]
+    refr = np.zeros_like(v)
+    for t in range(n_steps):
+        if not pending.size:
+            break
+        v, refr, spiked = lif_step_arrays(v, refr, c, sim.dt, p)
+        if not spiked.any():
+            continue
+        had_spiked = t0[pending] < n_steps
+        t0[pending[spiked & ~had_spiked]] = t
+        second = spiked & had_spiked
+        if second.any():
+            done = pending[second]
+            k[done] = t - t0[done]
+            keep = ~second
+            pending, c, v, refr = pending[keep], c[keep], v[keep], refr[keep]
+    return t0.reshape(current.shape), k.reshape(current.shape)
+
+
+class TestCachedValues:
+    """The start voltages and tail means are cached across calls; callers
+    get values no earlier caller can have changed."""
+
+    TWO_TOWERS = NetworkSpec(
+        input_slices=[("x", 0, 2)],
+        encoders=[EncoderSpec(["x"], [LayerSpec(2, 3, "linear", 0.5), LayerSpec(3, 4, "softlif")]),
+                  EncoderSpec(["x"], [LayerSpec(2, 5, "softlif", 0.8)])],
+        head=[LayerSpec(9, 2, "softlif", 0.5), LayerSpec(2, 1, "linear")],
+        output_dim=1,
+    )
+
+    @pytest.mark.parametrize("first_draw", [0, 3, 256])
+    @pytest.mark.parametrize("v_th", [1.0, 0.7, 3.3])
+    def test_initial_voltages_equal_per_draw_uniforms(self, first_draw, v_th):
+        sim = SimConfig(v0_seed=11)
+        snn._initial_voltages(self.TWO_TOWERS, P, sim, first_draw, 6)  # fills the cache at v_th 1
+        p = NeuronParams(v_th=v_th)
+        got = snn._initial_voltages(self.TWO_TOWERS, p, sim, first_draw, 6)
+        assert list(got) == [1, 2, 3]
+        for k in range(6):
+            rng = np.random.default_rng(sim.v0_seed + first_draw + k)
+            for i, width in zip(got, (4, 5, 2)):
+                assert np.array_equal(got[i][k], rng.uniform(0.0, v_th, width))
+
+    @pytest.mark.parametrize("v0_seed", [0, 4])
+    def test_writing_initial_voltages_leaves_later_calls_alone(self, v0_seed):
+        sim = SimConfig(v0_seed=v0_seed)
+        first = snn._initial_voltages(self.TWO_TOWERS, P, sim, 2, 5)
+        want = {i: v.copy() for i, v in first.items()}
+        for v in first.values():
+            v[:] = 7.0
+        again = snn._initial_voltages(self.TWO_TOWERS, P, sim, 2, 5)
+        assert all(np.array_equal(again[i], want[i]) for i in want)
+
+    def test_writing_tail_means_leaves_later_calls_alone(self):
+        sim = SimConfig(n_steps=50, burn_in_steps=10)
+        first = snn._tail_means(sim)
+        want = first.copy()
+        with pytest.raises(ValueError):
+            first[:] = 7.0
+        assert np.array_equal(snn._tail_means(SimConfig(n_steps=50, burn_in_steps=10)), want)
 
 
 class TestTailMeans:
