@@ -5,7 +5,7 @@ dropout, transfer the weights unchanged to a spiking network, and build
 predictive distributions on either backend by repeating masked evaluations.
 """
 
-from .convert import SpikingNetwork, convert
+from .convert import convert
 from .data import Dataset, load_csv, save_csv, synth_combo, train_test_split
 from .mcinfer import SampleSet, predictive_distribution, read_samples, write_samples
 from .network import (

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import data as data_mod
 from . import mcinfer, network, snn, stats, training
-from .convert import convert
 from .neuron import NeuronParams
 
 
@@ -118,7 +117,7 @@ def cmd_train(args) -> int:
                                learning_rate=args.lr, seed=args.seed)
     weights, history = training.train(spec, train_ds, cfg, params,
                                       eval_dataset=test_ds)
-    network.save_model(args.out, spec, weights, params, kind="analog")
+    network.save_model(args.out, spec, weights, params)
     history_path = args.history or args.out + ".history.csv"
     training.write_history(history_path, history)
     print(f"final train mse {history[-1][1]:.6g}, test mse {history[-1][2]:.6g}")
@@ -177,8 +176,7 @@ def cmd_trace(args) -> int:
     masks = None if args.mask_seed is None else network.sample_masks(model.spec, args.mask_seed)
     analog_out, _ = network.forward(model.spec, model.weights, observation,
                                     masks, model.neuron_params)
-    net = convert(model.spec, model.weights, model.neuron_params)
-    trace = snn.simulate(net, observation, masks, sim)
+    trace = snn.simulate(model, observation, masks, sim)
     meta = {
         "row": args.row,
         "mask_seed": "none" if args.mask_seed is None else args.mask_seed,

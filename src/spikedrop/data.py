@@ -11,6 +11,7 @@ variance has a closed form that tests can check against.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,9 @@ class Dataset:
 def load_csv(path, target_column: str) -> Dataset:
     """Parse a comma-separated file with a header row into a Dataset.
 
-    Column order is preserved; the target column is extracted. Malformed
-    cells (non-numeric, or NaN or infinite) are reported with their data row
-    number and column name.
+    Column order is preserved; the target column is extracted. The first
+    malformed cell in file order (non-numeric, or NaN or infinite) is
+    reported with its data row number and column name.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -53,7 +54,6 @@ def load_csv(path, target_column: str) -> Dataset:
         t_idx = header.index(target_column)
 
         rows = []
-        row_nums = []
         for row_num, row in enumerate(reader, start=1):
             if not row:
                 continue
@@ -64,23 +64,21 @@ def load_csv(path, target_column: str) -> Dataset:
             values = []
             for col, cell in zip(header, row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataFormatError(
                         f"{path}: row {row_num}, column {col!r}: "
                         f"non-numeric value {cell.strip()!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(f"{path}: row {row_num}, column {col!r}: "
+                                          f"non-finite value {value!r}")
+                values.append(value)
             rows.append(values)
-            row_nums.append(row_num)
 
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        r, c = bad[0]
-        raise DataFormatError(f"{path}: row {row_nums[r]}, column {header[c]!r}: "
-                              f"non-finite value {float(table[r, c])!r}")
     names = [h for i, h in enumerate(header) if i != t_idx]
     return Dataset(features=np.delete(table, t_idx, axis=1),
                    targets=table[:, t_idx].copy(), feature_names=names)

@@ -36,7 +36,6 @@ ACTIVATIONS = ("softlif", "linear")
 
 MODEL_FORMAT = "spikedrop-model"
 MODEL_FORMAT_VERSION = 1
-MODEL_KINDS = ("analog", "spiking")
 
 
 class InvalidNetworkError(ValueError):
@@ -543,25 +542,25 @@ def spec_from_dict(d: dict) -> NetworkSpec:
     )
 
 
-class LoadedModel(NamedTuple):
-    kind: str
+class Model(NamedTuple):
+    """A network as both backends run it: structure, weights and the neuron
+    constants of the SoftLIF curve and of the LIF neuron it approximates."""
+
     spec: NetworkSpec
     weights: WeightStore
     neuron_params: NeuronParams
 
 
 def save_model(path, spec: NetworkSpec, weights: WeightStore,
-               neuron_params: NeuronParams, kind: str = "analog") -> None:
+               neuron_params: NeuronParams) -> None:
     """Write a model file. Floats are serialized with shortest round-trip
     precision, so load(save(x)) reproduces every value exactly."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
     validate(spec)
     validate_weights(spec, weights)
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
+        "kind": "analog",
         "neuron_params": asdict(neuron_params),
         "spec": spec_to_dict(spec),
         "weights": {
@@ -589,7 +588,7 @@ def _naming_file(path):
         raise InvalidNetworkError(f"{path}: {exc}") from None
 
 
-def load_model(path) -> LoadedModel:
+def load_model(path) -> Model:
     """Read a model file; any defect is an InvalidNetworkError naming the file."""
     with open(path, "r", encoding="utf-8") as f, _naming_file(path):
         doc = json.load(f)
@@ -601,7 +600,7 @@ def load_model(path) -> LoadedModel:
             f"(this reader supports {MODEL_FORMAT_VERSION})"
         )
     with _naming_file(path):
-        if doc["kind"] not in MODEL_KINDS:
+        if doc["kind"] != "analog":
             raise ValueError(f"unknown model kind {doc['kind']!r}")
         spec = spec_from_dict(doc["spec"])
         validate(spec)
@@ -612,4 +611,4 @@ def load_model(path) -> LoadedModel:
             {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},
         )
         validate_weights(spec, weights)
-        return LoadedModel(doc["kind"], spec, weights, params)
+        return Model(spec, weights, params)

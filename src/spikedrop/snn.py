@@ -1,13 +1,16 @@
 """Simulation of the spiking network: clock-driven runs, one per fixed drop-mask.
 
-Each tick walks the network with the same traversal as the analog forward
-pass (``network._traverse``), with a LIF step in place of the rate curve.
-Inputs are held as constant injected currents into the first weight layer.
-Each spike deposits an impulse of height 1/dt into the emitting neuron's
-synaptic lowpass filter, so the filtered signal is in Hz and directly
-comparable to the analog activations. As in ``forward``, each layer's output
-is multiplied by its dropout scale; ``dt <= tau_syn`` keeps every filter
-non-negative, so a dropped neuron contributes exactly ``+0.0`` downstream.
+The network simulated is a ``network.Model``, the analog model itself: the
+same structure, weights and neuron constants (``convert`` makes a checked
+copy; ``mcinfer``'s spiking draws read the caller's model uncopied). Each
+tick walks the network with the same traversal as the analog forward pass
+(``network._traverse``), with a LIF step in place of the rate curve. Inputs
+are held as constant injected currents into the first weight layer. Each
+spike deposits an impulse of height 1/dt into the emitting neuron's synaptic
+lowpass filter, so the filtered signal is in Hz and directly comparable to
+the analog activations. As in ``forward``, each layer's output is multiplied
+by its dropout scale; ``dt <= tau_syn`` keeps every filter non-negative, so a
+dropped neuron contributes exactly ``+0.0`` downstream.
 
 The Monte-Carlo draws of one observation are evaluated together, each
 layer's state held as a (draws, width) array, one row per draw and its
@@ -25,9 +28,8 @@ each neuron is stepped to its first spike, and the fixed period after it
 from one replay per distinct current. Other networks are stepped tick by
 tick.
 
-Two values are cached, read-only and bounded: the v0 uniforms of a block of
-draws (``_v0_uniforms``), which every observation of a run shares, and the
-filter tail means of a ``SimConfig`` (``_tail_means``).
+One value is cached, read-only and bounded: the v0 uniforms of a block of
+draws (``_v0_uniforms``), which every observation of a run shares.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convert import SpikingNetwork
-from .network import (InvalidNetworkError, _gather_slices, _layer_scales, _split_columns,
+from .network import (InvalidNetworkError, Model, _gather_slices, _layer_scales, _split_columns,
                       _stream_uniforms, _traverse)
 from .neuron import NeuronParams, lif_step_arrays
 
@@ -83,7 +84,7 @@ class OutputTrace:
         return len(self.values)
 
 
-def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
+def simulate(net: Model, input, masks, sim: SimConfig) -> OutputTrace:
     """Run one simulation under one fixed mask set; deterministic throughout.
 
     ``masks=None`` runs the network without dropout (the deterministic
@@ -100,7 +101,7 @@ def simulate(net: SpikingNetwork, input, masks, sim: SimConfig) -> OutputTrace:
     return OutputTrace(values=values, dt=sim.dt)
 
 
-def _draw_means(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimConfig,
+def _draw_means(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
                 first_draw: int, n: int) -> np.ndarray:
     """Post-burn-in mean output of draws ``first_draw .. first_draw + n - 1``
     of a scalar-output network, evaluated together.
@@ -186,7 +187,7 @@ def _draw_inputs(spec, input: np.ndarray, n: int) -> list:
     return [_gather_slices(spec, enc, rows) for enc in spec.encoders]
 
 
-def _layer_step(net: SpikingNetwork, scales: list, spiking):
+def _layer_step(net: Model, scales: list, spiking):
     """The layer step of a traversal over the draws: layer i's affine map,
     then ``spiking(i, current)`` if it is a SoftLIF layer, then its dropout
     scale."""
@@ -249,12 +250,11 @@ def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronP
     return t0.reshape(current.shape), k.reshape(current.shape)
 
 
-@lru_cache(maxsize=8)
 def _tail_means(sim: SimConfig) -> np.ndarray:
     """``G[s]``: the post-burn-in mean of the synaptic filter's response to
     one 1/dt impulse at tick s, by the clock-driven recursion (the bare
     impulse when ``tau_syn`` is 0); ``G[n_steps]`` is 0, for spikes that
-    never come. Read-only, and computed once per ``SimConfig``."""
+    never come."""
     n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
     response = np.zeros(n)  # filter output u ticks after the impulse
     if sim.tau_syn > 0:
@@ -270,7 +270,6 @@ def _tail_means(sim: SimConfig) -> np.ndarray:
     s = np.arange(n)
     out = np.zeros(n + 1)
     out[:n] = (csum[n - s] - csum[np.maximum(burn_in - s, 0)]) / (n - burn_in)
-    out.flags.writeable = False
     return out
 
 
@@ -287,7 +286,7 @@ def _mean_rate(t0: np.ndarray, k: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _simulate_block(net: SpikingNetwork, input: np.ndarray, scales: list, sim: SimConfig,
+def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
                     first_draw: int, n: int) -> np.ndarray:
     """Step ``n`` LIF networks in lockstep, as one network whose state is an
     (n, width) array per spiking layer; ``input`` (input_dim,) is unchecked.

@@ -54,6 +54,14 @@ class TestLoadCsv:
         value = repr(float(cell))
         assert str(exc.value) == f"{path}: row 3, column {column!r}: non-finite value {value}"
 
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path):
+        # a non-finite cell in row 1 comes before a non-numeric one in row 3
+        path = tmp_path / "d.csv"
+        path.write_text("x,target\ninf,2\n3,4\nabc,6\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, "target")
+        assert str(exc.value) == f"{path}: row 1, column 'x': non-finite value inf"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,target\n1,2,3\n4,5\n")

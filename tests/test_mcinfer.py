@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import tempfile
 from pathlib import Path
@@ -148,6 +150,35 @@ class TestPredictiveDistribution:
         spec, weights = four_neuron_net()
         with pytest.raises(InvalidNetworkError, match=r"\(3,\).*\(2,\)"):
             predictive_distribution(spec, weights, P, np.zeros(3), 4, 0, backend)
+
+    def test_spiking_draws_leave_the_callers_model_unchanged(self):
+        spec, weights = four_neuron_net(keep_prob=0.5)
+        want_spec = copy.deepcopy(spec)
+        want = {key: (weights.weights[key].tobytes(), weights.biases[key].tobytes())
+                for key in weights.keys()}
+        predictive_distribution(spec, weights, P, np.array([0.3, 0.8]), 6, 4, "spiking",
+                                SimConfig(n_steps=80, burn_in_steps=20))
+        assert spec == want_spec
+        assert set(weights.keys()) == set(want)
+        for key, (w, b) in want.items():
+            assert weights.weights[key].tobytes() == w and weights.biases[key].tobytes() == b
+
+    @pytest.mark.parametrize("defect, message", [
+        ("missing-weight", "missing parameters for 'head:0'"),
+        ("activation", "unknown activation 'sigmoid'"),
+    ], ids=["missing-weight", "activation"])
+    def test_spiking_draws_refuse_what_convert_refuses(self, defect, message):
+        spec, weights = four_neuron_net()
+        if defect == "missing-weight":
+            del weights.weights["head:0"]
+        else:
+            layers = spec.encoders[0].layers
+            layers[0] = dataclasses.replace(layers[0], activation="sigmoid")
+        for check in (lambda: convert(spec, weights, P),
+                      lambda: predictive_distribution(spec, weights, P, np.zeros(2), 3, 0,
+                                                      "spiking", SimConfig(n_steps=20, burn_in_steps=5))):
+            with pytest.raises(InvalidNetworkError, match=message):
+                check()
 
 
 def per_draw_forward(spec, weights, obs, n_draws, base_seed):

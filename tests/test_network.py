@@ -353,9 +353,8 @@ class TestModelFile:
         w = init_weights(spec, seed=21)
         params = NeuronParams(0.004, 0.03, 1.2, 0.007)
         path = tmp_path / "model.json"
-        save_model(path, spec, w, params, kind="analog")
+        save_model(path, spec, w, params)
         loaded = load_model(path)
-        assert loaded.kind == "analog"
         assert loaded.neuron_params == params
         assert weights_equal(loaded.weights, w)
         assert [l.keep_prob for l in loaded.spec.head] == [l.keep_prob for l in spec.head]
@@ -385,13 +384,6 @@ class TestModelFile:
             for key, arr in store.items():
                 assert got[key].shape == arr.shape and got[key].tobytes() == arr.tobytes()
 
-    def test_kind_flag_distinguishes_spiking(self, tmp_path):
-        spec = minimal_spec()
-        w = init_weights(spec, seed=0)
-        path = tmp_path / "model.json"
-        save_model(path, spec, w, NeuronParams(), kind="spiking")
-        assert load_model(path).kind == "spiking"
-
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"something": 1}')
@@ -413,10 +405,11 @@ class TestModelFile:
         (lambda doc: doc.pop("format_version"), "format_version None"),
         (lambda doc: doc["spec"]["head"][0].update(share_tag="t"), "share_tag 't'"),
         (lambda doc: doc.update(kind="quantum"), "unknown model kind 'quantum'"),
+        (lambda doc: doc.update(kind="spiking"), "unknown model kind 'spiking'"),
         (lambda doc: doc.pop("kind"), "missing field 'kind'"),
         (lambda doc: doc["neuron_params"].pop("gamma"), "missing field 'gamma'"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
-            "layer-share_tag", "kind-quantum", "no-kind", "no-gamma"])
+            "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())
@@ -435,9 +428,3 @@ class TestModelFile:
         layers = [l for e in doc["spec"]["encoders"] for l in e["layers"]] + doc["spec"]["head"]
         assert all("share_tag" in l and l["share_tag"] is None for l in layers)
         assert [e["share_tag"] for e in doc["spec"]["encoders"]] == [None, "drug", "drug"]
-
-    def test_rejects_unknown_kind(self, tmp_path):
-        spec = minimal_spec()
-        w = init_weights(spec, seed=0)
-        with pytest.raises(ValueError):
-            save_model(tmp_path / "m.json", spec, w, NeuronParams(), kind="quantum")
