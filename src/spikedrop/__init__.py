@@ -9,7 +9,6 @@ from .convert import convert
 from .data import Dataset, load_csv, save_csv, synth_combo, train_test_split
 from .mcinfer import SampleSet, predictive_distribution, read_samples, write_samples
 from .network import (
-    DropMasks,
     EncoderSpec,
     InvalidNetworkError,
     LayerSpec,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,9 +42,7 @@ _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 def _neuron_params_from_dict(d) -> NeuronParams:
     """Neuron constants from a config file; an omitted field keeps its default."""
     d = d or {}
-    unknown = set(d) - {f.name for f in fields(NeuronParams)}
-    if unknown:
-        raise ValueError(f"unknown neuron_params field {min(unknown)!r}")
+    network._check_neuron_fields(d)
     return NeuronParams(**{key: float(value) for key, value in d.items()})
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 
 class DataFormatError(ValueError):
-    """Malformed input file (ragged row, non-numeric or non-finite cell, missing column)."""
+    """Malformed input file (ragged row, non-numeric or non-finite cell, missing or
+    duplicate column)."""
 
 
 @dataclass
@@ -49,6 +50,9 @@ def load_csv(path, target_column: str) -> Dataset:
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DataFormatError(f"{path}: duplicate column {name!r}")
         if target_column not in header:
             raise DataFormatError(f"{path}: target column {target_column!r} not found")
         t_idx = header.index(target_column)

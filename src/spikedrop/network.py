@@ -8,9 +8,9 @@ output is multiplied by its inverted-dropout scale ``mask / keep_prob``, so
 the deterministic pass, the masked analog pass, the gradient and the spiking
 simulation all operate on the same activation scale. Scales come either from
 a caller's mask set (``_layer_scales``, which checks it) or straight from
-mask seeds, a block of draws at a time (``_draw_scales``). The mask seed
-rule is written once, in ``_draw_keep``; ``sample_masks`` is its one-seed
-case.
+mask seeds, a block of draws at a time (``_draw_scales``). A mask set is a
+plain dict from layer instance key to a 0/1 vector. The mask seed rule is
+written once, in ``_draw_scales``; ``sample_masks`` is its one-seed case.
 
 One private traversal (``_traverse``) walks the towers and the head for both
 backends: ``_forward`` runs it with the analog layer step, on rows that may
@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Optional
+from itertools import accumulate
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -140,19 +141,6 @@ class WeightStore:
         )
 
 
-@dataclass
-class DropMasks:
-    """Per-layer-instance binary activity vectors (1 = active) for one draw."""
-
-    masks: dict
-
-    def __contains__(self, key):
-        return key in self.masks
-
-    def __getitem__(self, key):
-        return self.masks[key]
-
-
 def _check_layer(layer: LayerSpec, where: str):
     if layer.in_dim < 1 or layer.out_dim < 1:
         raise InvalidNetworkError(f"{where}: layer dims must be positive")
@@ -247,8 +235,12 @@ def validate(spec: NetworkSpec) -> None:
 
 
 def validate_weights(spec: NetworkSpec, weights: WeightStore) -> None:
-    """Check that a WeightStore matches the spec's shapes and is finite."""
+    """Check that a WeightStore holds exactly the spec's parameter sets, of
+    the spec's shapes, and is finite."""
     needed = {wkey: layer for _, wkey, layer, _ in spec.layer_instances()}
+    unused = (set(weights.weights) | set(weights.biases)) - set(needed)
+    if unused:
+        raise InvalidNetworkError(f"parameters {min(unused)!r} belong to no layer")
     for wkey, layer in needed.items():
         if wkey not in weights.weights or wkey not in weights.biases:
             raise InvalidNetworkError(f"missing parameters for {wkey!r}")
@@ -280,61 +272,52 @@ def init_weights(spec: NetworkSpec, seed: int, bias_value: float = 1.0) -> Weigh
     return store
 
 
-def sample_masks(spec: NetworkSpec, seed: int) -> DropMasks:
-    """Draw one Bernoulli(keep_prob) drop-mask per hidden layer instance.
+def sample_masks(spec: NetworkSpec, seed: int) -> dict:
+    """Draw one Bernoulli(keep_prob) drop-mask per hidden layer instance: a
+    dict from instance key to a float 0/1 vector.
 
     Layers with keep_prob == 1 get all-ones masks without consuming
     randomness; the output layer gets no mask. Deterministic given the seed:
-    the one-seed case of the rule in ``_draw_keep``.
+    the one-seed case of ``_draw_scales``, whose scale is positive exactly
+    where the mask keeps.
     """
-    instances = list(spec.layer_instances())
-    return DropMasks({
-        ikey: np.ones(layer.out_dim) if keep is None else keep[0].astype(float)
-        for (ikey, _, layer, is_output), keep in zip(instances, _draw_keep(instances, [seed]))
+    return {
+        ikey: np.ones(layer.out_dim) if scale is None else (scale[0] > 0).astype(float)
+        for (ikey, _, layer, is_output), scale in zip(spec.layer_instances(),
+                                                      _draw_scales(spec, [seed]))
         if not is_output
-    })
+    }
 
 
 def _draw_scales(spec: NetworkSpec, seeds) -> list:
-    """The inverted-dropout scales ``mask / keep_prob`` of one draw per seed,
-    per layer instance in layer_instances order: a (len(seeds), out_dim)
-    array, or None for the output layer and keep_prob == 1 layers, whose
-    scale 1 changes no value."""
-    instances = list(spec.layer_instances())
-    return [None if keep is None else keep / layer.keep_prob
-            for (_, _, layer, _), keep in zip(instances, _draw_keep(instances, seeds))]
-
-
-def _draw_keep(instances: list, seeds) -> list:
-    """The mask seed rule, for the layer instances of one spec and one draw
-    per seed: a boolean (len(seeds), out_dim) keep mask per instance, None
-    for the output layer and keep_prob == 1 layers.
+    """The mask seed rule: the inverted-dropout scales ``mask / keep_prob``
+    of one draw per seed, per layer instance in layer_instances order: a
+    (len(seeds), out_dim) array, or None for the output layer and
+    keep_prob == 1 layers, whose scale 1 changes no value.
 
     Draw ``seed`` keeps a neuron where its uniform from ``_stream_uniforms``,
     over the keep_prob < 1 layers, is below keep_prob.
     """
+    instances = list(spec.layer_instances())
     widths = [0 if is_output or layer.keep_prob == 1.0 else layer.out_dim
               for _, _, layer, is_output in instances]
-    blocks = _split_columns(_stream_uniforms(seeds, sum(widths)), widths)
-    return [u < layer.keep_prob if width else None
-            for (_, _, layer, _), width, u in zip(instances, widths, blocks)]
+    return [(u < layer.keep_prob) / layer.keep_prob if width else None
+            for (_, _, layer, _), width, u in zip(instances, widths,
+                                                  _stream_uniforms(seeds, widths))]
 
 
-def _stream_uniforms(seeds, total: int) -> np.ndarray:
-    """The stream rule of drop masks (``_draw_keep``) and initial voltages
-    (``snn._initial_voltages``): row k is ``default_rng(seeds[k]).random(total)``,
-    which the caller slices into one block per layer instance it draws for,
-    in layer_instances order (``_split_columns``). These are the bits of one
+def _stream_uniforms(seeds, widths) -> list:
+    """The stream rule of drop masks (``_draw_scales``) and initial voltages
+    (``snn._initial_voltages``): one (len(seeds), width) column block per
+    width, in order, one per layer instance the caller draws for, in
+    layer_instances order. Row k of the blocks laid side by side is
+    ``default_rng(seeds[k]).random(sum(widths))``: the bits of one
     ``random(width)`` call per such layer, in that order."""
-    uniform = np.empty((len(seeds), total))
+    bounds = list(accumulate(widths, initial=0))
+    uniform = np.empty((len(seeds), bounds[-1]))
     for k, seed in enumerate(seeds):
-        uniform[k] = np.random.default_rng(seed).random(total)
-    return uniform
-
-
-def _split_columns(a: np.ndarray, widths) -> list:
-    """``a`` (rows, sum(widths)) as one column block (a view) per width, in order."""
-    return np.split(a, np.cumsum(widths, dtype=int)[:-1], axis=1)
+        uniform[k] = np.random.default_rng(seed).random(bounds[-1])
+    return [uniform[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class LayerRecord(NamedTuple):
@@ -360,9 +343,10 @@ def _gather_slices(spec: NetworkSpec, enc: EncoderSpec, x: np.ndarray) -> np.nda
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _layer_scales(spec: NetworkSpec, masks: Optional[DropMasks]) -> list:
+def _layer_scales(spec: NetworkSpec, masks: Optional[Mapping]) -> list:
     """The inverted-dropout scale ``mask / keep_prob`` of every layer instance
-    in layer_instances order, None where unmasked. The one place masks are
+    in layer_instances order, None where unmasked. ``masks`` maps instance
+    keys to 0/1 vectors, as ``sample_masks`` returns. The one place masks are
     checked against the spec and turned into scales."""
     out = []
     for ikey, _, layer, is_output in spec.layer_instances():
@@ -400,7 +384,7 @@ def _traverse(spec: NetworkSpec, inputs: list, step):
 
 
 def forward(spec: NetworkSpec, weights: WeightStore, input,
-            masks: Optional[DropMasks] = None,
+            masks: Optional[Mapping] = None,
             params: NeuronParams = NeuronParams()):
     """Evaluate the network on one input vector or a batch (rows).
 
@@ -492,6 +476,15 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
     }
 
 
+def _json_int(d: dict, key: str) -> int:
+    """``d[key]``, refused unless it is a JSON integer (not a float, a string
+    or a bool)."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _layer_from_dict(d: dict) -> LayerSpec:
     if d.get("share_tag") is not None:
         raise InvalidNetworkError(
@@ -499,8 +492,8 @@ def _layer_from_dict(d: dict) -> LayerSpec:
             "share a tower through the encoder share_tag"
         )
     return LayerSpec(
-        in_dim=int(d["in_dim"]),
-        out_dim=int(d["out_dim"]),
+        in_dim=_json_int(d, "in_dim"),
+        out_dim=_json_int(d, "out_dim"),
         activation=d["activation"],
         keep_prob=float(d["keep_prob"]),
     )
@@ -527,7 +520,7 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
 
 def spec_from_dict(d: dict) -> NetworkSpec:
     return NetworkSpec(
-        input_slices=[(s["name"], int(s["offset"]), int(s["length"]))
+        input_slices=[(s["name"], _json_int(s, "offset"), _json_int(s, "length"))
                       for s in d["input_slices"]],
         encoders=[
             EncoderSpec(
@@ -538,7 +531,7 @@ def spec_from_dict(d: dict) -> NetworkSpec:
             for e in d["encoders"]
         ],
         head=[_layer_from_dict(l) for l in d["head"]],
-        output_dim=int(d["output_dim"]),
+        output_dim=_json_int(d, "output_dim"),
     )
 
 
@@ -576,6 +569,13 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
         f.write("\n")
 
 
+def _check_neuron_fields(d: dict) -> None:
+    """Refuse a neuron_params field that NeuronParams does not have."""
+    unknown = set(d) - {f.name for f in fields(NeuronParams)}
+    if unknown:
+        raise ValueError(f"unknown neuron_params field {min(unknown)!r}")
+
+
 @contextmanager
 def _naming_file(path):
     """Re-raise a defect of the JSON document read from ``path`` as an
@@ -605,6 +605,7 @@ def load_model(path) -> Model:
         spec = spec_from_dict(doc["spec"])
         validate(spec)
         np_doc = doc["neuron_params"]
+        _check_neuron_fields(np_doc)
         params = NeuronParams(**{f.name: float(np_doc[f.name]) for f in fields(NeuronParams)})
         weights = WeightStore(
             {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},

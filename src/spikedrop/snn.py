@@ -29,7 +29,8 @@ from one replay per distinct current. Other networks are stepped tick by
 tick.
 
 One value is cached, read-only and bounded: the v0 uniforms of a block of
-draws (``_v0_uniforms``), which every observation of a run shares.
+draws (``_v0_uniforms``, one block per SoftLIF layer, keyed by first seed,
+block size and layer widths), which every observation of a run shares.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import (InvalidNetworkError, Model, _gather_slices, _layer_scales, _split_columns,
+from .network import (InvalidNetworkError, Model, _gather_slices, _layer_scales,
                       _stream_uniforms, _traverse)
 from .neuron import NeuronParams, lif_step_arrays
 
@@ -161,24 +162,24 @@ def _initial_voltages(spec, p: NeuronParams, sim: SimConfig, first_draw: int, n:
     ``v0_seed`` is 0. The arrays are new on every call."""
     widths = {i: layer.out_dim for i, (_, _, layer, _) in enumerate(spec.layer_instances())
               if layer.activation == "softlif"}
-    total = sum(widths.values())
     if sim.v0_seed == 0:
-        v = np.zeros((n, total))
-    else:
-        # uniform(0.0, v_th) returns 0.0 + v_th * u for the same u, and adding
-        # 0.0 changes no bit of the non-negative product
-        v = p.v_th * _v0_uniforms(sim.v0_seed + first_draw, n, total)
-    return dict(zip(widths, _split_columns(v, list(widths.values()))))
+        return {i: np.zeros((n, width)) for i, width in widths.items()}
+    # uniform(0.0, v_th) returns 0.0 + v_th * u for the same u, and adding
+    # 0.0 changes no bit of the non-negative product
+    blocks = _v0_uniforms(sim.v0_seed + first_draw, n, tuple(widths.values()))
+    return {i: p.v_th * u for i, u in zip(widths, blocks)}
 
 
 @lru_cache(maxsize=8)
-def _v0_uniforms(first_seed: int, n: int, total: int) -> np.ndarray:
-    """Read-only ``_stream_uniforms`` of seeds ``first_seed .. first_seed + n - 1``.
-    Every observation of a run starts its blocks of draws from the same v0
-    seeds, so the blocks are drawn once and reused."""
-    uniform = _stream_uniforms(range(first_seed, first_seed + n), total)
-    uniform.flags.writeable = False
-    return uniform
+def _v0_uniforms(first_seed: int, n: int, widths: tuple) -> tuple:
+    """Read-only ``_stream_uniforms`` blocks of seeds ``first_seed ..
+    first_seed + n - 1``, one per width. Every observation of a run starts
+    its blocks of draws from the same v0 seeds, so the blocks are drawn once
+    and reused."""
+    blocks = tuple(_stream_uniforms(range(first_seed, first_seed + n), widths))
+    for u in blocks:
+        u.flags.writeable = False
+    return blocks
 
 
 def _draw_inputs(spec, input: np.ndarray, n: int) -> list:

@@ -2,8 +2,9 @@
 
 Dropout is the only regularizer: a fresh set of drop-masks is sampled once per
 minibatch and applied to layer outputs with inverted scaling, matching the
-masked inference path exactly. The backward pass builds each SoftLIF layer's
-derivative from the intermediates its forward pass kept in the layer record
+masked inference path exactly. The backward pass takes no masks: it replays
+each layer's dropout scale from the layer record of the forward pass, and
+builds each SoftLIF layer's derivative from the intermediates kept there
 (``neuron._softlif``), so no ``exp`` or ``log1p`` is evaluated twice. The
 epoch-end loss passes never backpropagate, so they call ``network._forward``
 without a record list.
@@ -80,13 +81,12 @@ def _layer_backward(rec, g_out, weights: WeightStore, grads: WeightStore,
 
 
 def backward(spec: NetworkSpec, weights: WeightStore, cache: ForwardCache,
-             masks, targets, params: NeuronParams = NeuronParams()) -> WeightStore:
+             targets, params: NeuronParams = NeuronParams()) -> WeightStore:
     """Gradients of loss_mse w.r.t. every weight and bias, from a forward cache.
 
     Shared layers accumulate contributions from every tower that uses them;
-    masks gate gradients exactly as they gated activations. ``masks`` is
-    accepted for signature symmetry with forward; the gating itself replays
-    from the cache.
+    masks gate gradients exactly as they gated activations, replayed from
+    each layer record's dropout scale.
     """
     preds = cache.output
     t = np.asarray(targets, dtype=float)
@@ -190,7 +190,7 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}"
                 )
-            grads = backward(spec, weights, cache, masks, y[idx], neuron_params)
+            grads = backward(spec, weights, cache, y[idx], neuron_params)
             adam.step(weights, grads, config)
 
         train_mse = loss_mse(_forward(spec, weights, x, unmasked, neuron_params), y)

@@ -92,7 +92,7 @@ def test_criterion_2_gradient_correctness():
         target = rng.normal(size=1)
         masks = sd.sample_masks(spec, seed=1000 + rep)
         _, cache = sd.forward(spec, weights, x, masks, DEFAULTS)
-        grads = sd.backward(spec, weights, cache, masks, target, DEFAULTS)
+        grads = sd.backward(spec, weights, cache, target, DEFAULTS)
 
         def loss_at():
             out, _ = sd.forward(spec, weights, x, masks, DEFAULTS)
@@ -235,7 +235,7 @@ def test_criterion_7_mc_dropout_oracle():
         k = int(mask.sum())
         prob = keep_prob ** k * (1 - keep_prob) ** (4 - k)
         out, _ = sd.forward(spec, weights, obs,
-                            sd.DropMasks({"enc0:0": mask}), DEFAULTS)
+                            {"enc0:0": mask}, DEFAULTS)
         exact += prob * out[0]
 
     samples = sd.predictive_distribution(spec, weights, DEFAULTS, obs,

@@ -114,6 +114,24 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")]) == 1
         assert f"{bad}: unknown neuron_params field 'tau-ref'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda spec: spec["head"][0].update(in_dim=spec["head"][0]["in_dim"] + 0.7),
+         "in_dim must be an integer, got 18.7"),
+        (lambda spec: spec["input_slices"][1].update(length="3"),
+         "length must be an integer, got '3'"),
+        (lambda spec: spec.update(output_dim=True), "output_dim must be an integer, got True"),
+    ], ids=["in_dim-float", "length-string", "output_dim-bool"])
+    def test_non_integer_dimension_names_file_and_field(self, tmp_path, workspace, capsys,
+                                                        edit, message):
+        _, data, config, _ = workspace
+        doc = json.loads(config.read_text())
+        edit(doc["spec"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["train", "--spec", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
     def test_config_neuron_fields_default_when_omitted(self, tmp_path, workspace):
         _, data, config, _ = workspace
         doc = json.loads(config.read_text())

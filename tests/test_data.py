@@ -62,6 +62,15 @@ class TestLoadCsv:
             load_csv(path, "target")
         assert str(exc.value) == f"{path}: row 1, column 'x': non-finite value inf"
 
+    @pytest.mark.parametrize("header, column", [("a,target,target", "target"),
+                                                ("a,target,a", "a")])
+    def test_duplicate_column_names_file_and_column(self, tmp_path, header, column):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, "target")
+        assert str(exc.value) == f"{path}: duplicate column {column!r}"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,target\n1,2,3\n4,5\n")

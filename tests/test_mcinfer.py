@@ -19,7 +19,6 @@ from spikedrop.mcinfer import (
     write_samples,
 )
 from spikedrop.network import (
-    DropMasks,
     EncoderSpec,
     InvalidNetworkError,
     LayerSpec,
@@ -59,7 +58,7 @@ def enumerate_exact_mean(spec, weights, observation, keep_prob):
         k = int(mask.sum())
         prob = keep_prob ** k * (1 - keep_prob) ** (4 - k)
         out, _ = forward(spec, weights, observation,
-                         DropMasks({"enc0:0": mask}), P)
+                         {"enc0:0": mask}, P)
         total += prob * out[0]
     return total
 

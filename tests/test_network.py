@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from spikedrop.network import (
     _draw_scales,
-    DropMasks,
+    _layer_scales,
     EncoderSpec,
     InvalidNetworkError,
     LayerSpec,
@@ -178,7 +178,7 @@ class TestForward:
         x = np.array([0.3, -0.2, 0.9, 0.5])
         mask = np.ones(8)
         mask[3] = 0.0
-        out, _ = forward(spec, w, x, DropMasks({"enc0:0": mask}), P)
+        out, _ = forward(spec, w, x, {"enc0:0": mask}, P)
 
         # oracle: delete the dropped neuron's outgoing weights, rescale others
         w2 = w.copy()
@@ -228,13 +228,13 @@ class TestForward:
         spec = minimal_spec(keep_prob=0.5)
         w = init_weights(spec, seed=0)
         with pytest.raises(InvalidNetworkError, match="mask"):
-            forward(spec, w, np.ones(4), DropMasks({"enc0:0": np.ones(7)}), P)
+            forward(spec, w, np.ones(4), {"enc0:0": np.ones(7)}, P)
 
     def test_output_layer_mask_rejected(self):
         spec = minimal_spec()
         w = init_weights(spec, seed=0)
         with pytest.raises(InvalidNetworkError, match="output layer"):
-            forward(spec, w, np.ones(4), DropMasks({"head:0": np.ones(1)}), P)
+            forward(spec, w, np.ones(4), {"head:0": np.ones(1)}, P)
 
     def test_passthrough_encoder(self):
         # encoder with no layers feeds the raw slice into the head
@@ -309,6 +309,23 @@ class TestSampleMasks:
         m = sample_masks(spec, seed=3)["enc0:0"]
         assert set(np.unique(m)) <= {0.0, 1.0}
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=dropout_networks(), seed=st.integers(0, 2 ** 63 - 1))
+    def test_mask_entrances_agree_bitwise(self, spec, seed):
+        # a mask set from sample_masks, checked and scaled by _layer_scales,
+        # gives the scales _draw_scales draws straight from the seed
+        masks = sample_masks(spec, seed)
+        instances = list(spec.layer_instances())
+        assert type(masks) is dict
+        assert set(masks) == {ikey for ikey, _, _, is_output in instances if not is_output}
+        from_masks = _layer_scales(spec, masks)
+        from_seed = _draw_scales(spec, [seed])
+        for i, (_, _, _, is_output) in enumerate(instances):
+            if from_seed[i] is not None:
+                assert from_masks[i].tobytes() == from_seed[i][0].tobytes()
+            elif not is_output:
+                assert np.all(from_masks[i] == 1.0)
+
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
     def test_seed_rule(self, seed):
         # the rule written out independently of the code: per layer instance
@@ -332,7 +349,7 @@ class TestSampleMasks:
                              else np.ones(width), keep)
 
         masks = sample_masks(spec, seed)
-        assert set(masks.masks) == set(expected)
+        assert set(masks) == set(expected)
         for key, (mask, _) in expected.items():
             assert np.array_equal(masks[key], mask)
 
@@ -408,8 +425,24 @@ class TestModelFile:
         (lambda doc: doc.update(kind="spiking"), "unknown model kind 'spiking'"),
         (lambda doc: doc.pop("kind"), "missing field 'kind'"),
         (lambda doc: doc["neuron_params"].pop("gamma"), "missing field 'gamma'"),
+        (lambda doc: doc["weights"].update({"junk:0": doc["weights"]["head:0"]}),
+         "parameters 'junk:0' belong to no layer"),
+        (lambda doc: doc["neuron_params"].update({"tau-rc": 0.02}),
+         "unknown neuron_params field 'tau-rc'"),
+        (lambda doc: doc["spec"]["head"][0].update(in_dim=8.7),
+         "in_dim must be an integer, got 8.7"),
+        (lambda doc: doc["spec"]["head"][0].update(out_dim="1"),
+         "out_dim must be an integer, got '1'"),
+        (lambda doc: doc["spec"]["input_slices"][0].update(offset=0.0),
+         "offset must be an integer, got 0.0"),
+        (lambda doc: doc["spec"]["input_slices"][0].update(length=4.0),
+         "length must be an integer, got 4.0"),
+        (lambda doc: doc["spec"].update(output_dim=True),
+         "output_dim must be an integer, got True"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
-            "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma"])
+            "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma",
+            "unused-weights", "neuron-field-typo", "in_dim-float", "out_dim-string",
+            "offset-float", "length-float", "output_dim-bool"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())

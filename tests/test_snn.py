@@ -9,7 +9,6 @@ from spikedrop.convert import convert
 from spikedrop import snn
 from spikedrop.mcinfer import _BLOCK_DRAWS, predictive_distribution
 from spikedrop.network import (
-    DropMasks,
     EncoderSpec,
     LayerSpec,
     NetworkSpec,
@@ -206,7 +205,7 @@ class TestSimulate:
         sim = SimConfig(n_steps=400, burn_in_steps=50)
 
         mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
-        masked = simulate(net, x, DropMasks({"enc0:0": mask}), sim)
+        masked = simulate(net, x, {"enc0:0": mask}, sim)
 
         edited = w.copy()
         edited.weights["head:0"] = edited.weights["head:0"] * mask / keep_prob
@@ -265,7 +264,7 @@ class TestSimulate:
         w = init_weights(spec, seed=10)
         w.biases["head:0"][:] = 0.0
         net = convert(spec, w, P)
-        masks = DropMasks({"enc0:0": np.zeros(3)})
+        masks = {"enc0:0": np.zeros(3)}
         trace = simulate(net, np.array([5.0]), masks, SimConfig(n_steps=100, burn_in_steps=10))
         assert np.all(trace.values == 0.0)
 
@@ -371,7 +370,7 @@ class TestSimulate:
 
     def test_mask_width_checked(self):
         net = one_neuron_net()
-        masks = DropMasks({"enc0:0": np.ones(2)})
+        masks = {"enc0:0": np.ones(2)}
         with pytest.raises(Exception, match="mask"):
             simulate(net, np.array([1.0]), masks, SimConfig())
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import spikedrop.training as training_mod
 from spikedrop.data import Dataset, synth_combo
 from spikedrop.network import (
-    DropMasks,
     EncoderSpec,
     InvalidNetworkError,
     LayerSpec,
@@ -97,7 +96,7 @@ class TestBackward:
         masks = sample_masks(spec, seed=5)
         targets = np.array([0.7])
         out, cache = forward(spec, weights, x, masks, P)
-        analytic = backward(spec, weights, cache, masks, targets, P)
+        analytic = backward(spec, weights, cache, targets, P)
         numeric = numeric_gradients(spec, weights, x, masks, targets, P)
         assert_grads_close(analytic, numeric, rel=1e-4)
 
@@ -110,7 +109,7 @@ class TestBackward:
         targets = rng.normal(size=4)
         masks = sample_masks(spec, seed=seed + 100)
         out, cache = forward(spec, weights, x, masks, P)
-        analytic = backward(spec, weights, cache, masks, targets, P)
+        analytic = backward(spec, weights, cache, targets, P)
         numeric = numeric_gradients(spec, weights, x, masks, targets, P)
         assert_grads_close(analytic, numeric, rel=1e-4)
 
@@ -119,9 +118,9 @@ class TestBackward:
         weights = init_weights(spec, seed=1)
         x = np.array([0.2, 0.1, -0.4])
         mask = np.array([1.0, 0.0, 1.0, 1.0])
-        masks = DropMasks({"enc0:0": mask})
+        masks = {"enc0:0": mask}
         out, cache = forward(spec, weights, x, masks, P)
-        grads = backward(spec, weights, cache, masks, np.array([1.0]), P)
+        grads = backward(spec, weights, cache, np.array([1.0]), P)
         assert np.all(grads.weights["enc0:0"][1, :] == 0.0)  # incoming
         assert grads.biases["enc0:0"][1] == 0.0
         assert np.all(grads.weights["head:0"][:, 1] == 0.0)  # outgoing
@@ -141,7 +140,7 @@ class TestBackward:
         weights.weights["head:0"][0, 4:] = weights.weights["head:0"][0, :4]
         x = np.array([0.3, -0.1, 0.6, 0.3, -0.1, 0.6])
         out, cache = forward(spec, weights, x, None, P)
-        grads = backward(spec, weights, cache, None, np.array([2.0]), P)
+        grads = backward(spec, weights, cache, np.array([2.0]), P)
 
         # single-tower reference with the same layer and half the head
         ref_spec = NetworkSpec(
@@ -158,7 +157,7 @@ class TestBackward:
         ref_out, ref_cache = forward(ref_spec, ref_weights, x[:3], None, P)
         # choose the target so the residual matches the two-tower case
         residual_target = ref_out[0] - (out[0] - 2.0)
-        ref_grads = backward(ref_spec, ref_weights, ref_cache, None,
+        ref_grads = backward(ref_spec, ref_weights, ref_cache,
                              np.array([residual_target]), P)
         assert np.allclose(grads.weights["tw:0"],
                            2.0 * ref_grads.weights["tw:0"], rtol=1e-9)
@@ -209,7 +208,7 @@ class TestBackwardBits:
         targets = rng.normal(size=(rows, spec.output_dim))
         masks = sample_masks(spec, seed)
         _, cache = forward(spec, weights, x, masks, params)
-        got = backward(spec, weights, cache, masks, targets, params)
+        got = backward(spec, weights, cache, targets, params)
         want = reference_backward(spec, weights, cache, targets, params)
         for key in want.weights:
             assert np.array_equal(got.weights[key], want.weights[key])
