@@ -22,14 +22,7 @@ from .network import (
     save_model,
     validate,
 )
-from .neuron import (
-    NeuronParams,
-    lif_rate,
-    lif_step_arrays,
-    softlif_rate,
-    softlif_rate_grad,
-    softplus_gamma,
-)
+from .neuron import NeuronParams, lif_rate, lif_step_arrays, softlif_rate
 from .snn import OutputTrace, SimConfig, simulate, summarize_trace, write_trace
 from .stats import (
     KsResult,

@@ -43,7 +43,7 @@ def _neuron_params_from_dict(d) -> NeuronParams:
     """Neuron constants from a config file; an omitted field keeps its default."""
     d = d or {}
     network._check_neuron_fields(d)
-    return NeuronParams(**{key: float(value) for key, value in d.items()})
+    return NeuronParams(**{key: network._json_number(d, key) for key in d})
 
 
 def _load_network_config(path):
@@ -125,8 +125,11 @@ def cmd_train(args) -> int:
 
 def _load_model_and_data(args):
     """The model and dataset files of ``infer`` and ``trace``, checked to agree
-    in width before any work starts."""
+    in width, and the model to have one output, before any work starts."""
     model = network.load_model(args.model)
+    if model.spec.output_dim != 1:
+        raise ValueError(f"model {args.model} has output_dim {model.spec.output_dim}; "
+                         "predictive draws and traces need output_dim 1")
     dataset = data_mod.load_csv(args.data, target_column=args.target)
     if dataset.n_features != model.spec.input_dim:
         raise ValueError(f"{args.data} has {dataset.n_features} features, "

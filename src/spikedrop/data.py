@@ -18,8 +18,8 @@ import numpy as np
 
 
 class DataFormatError(ValueError):
-    """Malformed input file (ragged row, non-numeric or non-finite cell, missing or
-    duplicate column)."""
+    """Malformed input file (ragged row, non-numeric or non-finite cell, missing,
+    duplicate or unnamed column)."""
 
 
 @dataclass
@@ -51,6 +51,8 @@ def load_csv(path, target_column: str) -> Dataset:
             raise DataFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         for i, name in enumerate(header):
+            if not name:
+                raise DataFormatError(f"{path}: column {i + 1} has an empty name")
             if name in header[:i]:
                 raise DataFormatError(f"{path}: duplicate column {name!r}")
         if target_column not in header:

@@ -42,7 +42,6 @@ class SampleSet:
     observation_id: int
     draws: np.ndarray
     backend: str
-    base_seed: int
 
 
 def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
@@ -85,8 +84,7 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
 
     if not np.isfinite(draws).all():
         raise FloatingPointError("non-finite prediction draw")
-    return SampleSet(observation_id=observation_id, draws=draws,
-                     backend=backend, base_seed=base_seed)
+    return SampleSet(observation_id=observation_id, draws=draws, backend=backend)
 
 
 def write_samples(path, sample_sets, meta=None) -> None:

@@ -8,22 +8,25 @@ output is multiplied by its inverted-dropout scale ``mask / keep_prob``, so
 the deterministic pass, the masked analog pass, the gradient and the spiking
 simulation all operate on the same activation scale. Scales come either from
 a caller's mask set (``_layer_scales``, which checks it) or straight from
-mask seeds, a block of draws at a time (``_draw_scales``). A mask set is a
+mask seeds, a block of draws at a time (``_draw_scales``): Monte-Carlo
+inference and training's minibatches both draw this way. A mask set is a
 plain dict from layer instance key to a 0/1 vector. The mask seed rule is
 written once, in ``_draw_scales``; ``sample_masks`` is its one-seed case.
 
 One private traversal (``_traverse``) walks the towers and the head for both
 backends: ``_forward`` runs it with the analog layer step, on rows that may
-each carry their own scales, and ``snn`` with the LIF layer step. Only
-``forward`` asks ``_forward`` for layer records (each SoftLIF layer's input
-and ``neuron._softlif`` intermediates, from which ``training.backward``
-builds the gradient); Monte-Carlo analog draws and training's epoch-end
-losses call ``_forward`` without a record list and keep none.
+each carry their own scales, and ``snn`` with the LIF layer step. ``forward``
+and training's minibatch pass ask ``_forward`` for layer records (each
+layer's input and ``neuron._softlif`` intermediates, from which
+``training.backward`` builds the gradient); Monte-Carlo analog draws and
+training's epoch-end losses call ``_forward`` without a record list and keep
+none.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
@@ -328,7 +331,7 @@ class LayerRecord(NamedTuple):
     layer: LayerSpec
     a_in: np.ndarray      # (n, in_dim) layer input
     softlif: Optional[tuple]  # neuron._softlif's (q, t, soft, rate); None on linear layers
-    scale: Optional[np.ndarray]  # mask / keep_prob, (out_dim,) or (n, out_dim); None if unmasked
+    scale: Optional[np.ndarray]  # mask / keep_prob, as _forward took it; None if unmasked
 
 
 class ForwardCache(NamedTuple):
@@ -410,10 +413,10 @@ def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
              scales: list, params: NeuronParams, records: Optional[list] = None) -> np.ndarray:
     """The analog pass over ``rows`` (n, input_dim), unchecked; returns the
     (n, output_dim) output. ``scales`` holds per layer instance None or a
-    scale of shape (out_dim,), shared by every row, or (n, out_dim), one per
-    row. Given a ``records`` list, appends one LayerRecord per layer instance
-    for backprop; passes that never backpropagate leave it None and keep no
-    per-layer arrays alive."""
+    scale of shape (out_dim,) or (1, out_dim), shared by every row, or
+    (n, out_dim), one per row. Given a ``records`` list, appends one
+    LayerRecord per layer instance for backprop; passes that never
+    backpropagate leave it None and keep no per-layer arrays alive."""
     instances = list(spec.layer_instances())
 
     def step(i, a):
@@ -485,6 +488,17 @@ def _json_int(d: dict, key: str) -> int:
     return value
 
 
+def _json_number(d: dict, key: str) -> float:
+    """``d[key]`` as a float, refused unless it is a finite JSON number (an
+    integer or a float, not a string, a bool, NaN, an infinity or an integer
+    beyond the float range)."""
+    value = d[key]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _layer_from_dict(d: dict) -> LayerSpec:
     if d.get("share_tag") is not None:
         raise InvalidNetworkError(
@@ -495,7 +509,7 @@ def _layer_from_dict(d: dict) -> LayerSpec:
         in_dim=_json_int(d, "in_dim"),
         out_dim=_json_int(d, "out_dim"),
         activation=d["activation"],
-        keep_prob=float(d["keep_prob"]),
+        keep_prob=_json_number(d, "keep_prob"),
     )
 
 
@@ -606,7 +620,8 @@ def load_model(path) -> Model:
         validate(spec)
         np_doc = doc["neuron_params"]
         _check_neuron_fields(np_doc)
-        params = NeuronParams(**{f.name: float(np_doc[f.name]) for f in fields(NeuronParams)})
+        params = NeuronParams(**{f.name: _json_number(np_doc, f.name)
+                                 for f in fields(NeuronParams)})
         weights = WeightStore(
             {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},
             {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},

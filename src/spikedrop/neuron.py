@@ -15,8 +15,7 @@ evaluates the rate and returns the intermediates ``(q, t, soft, rate)``, and
 ``_softlif_grad`` builds the derivative from those intermediates with a few
 multiplies. The analog forward pass keeps them in its layer records, so the
 backward pass never evaluates an ``exp`` or ``log1p`` again. The public
-``softplus_gamma``, ``softlif_rate`` and ``softlif_rate_grad`` wrap the same
-helpers and give the same bits.
+``softlif_rate`` wraps ``_softlif`` and gives the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below x/gamma = -30 the ratio sigmoid(x/gamma) / softplus_gamma(x) equals
+# Below x/gamma = -30 the ratio sigmoid(x/gamma) / softplus(x) equals
 # 1/gamma to within exp(-30); used to avoid 0/0 in the rate gradient.
 _LOG_TINY = -30.0
 
@@ -104,21 +103,9 @@ def _softlif_grad(parts, params: NeuronParams):
     return rate * rate * params.tau_rc * params.v_th * ratio / (soft + params.v_th)
 
 
-def softplus_gamma(x, gamma: float):
-    """Smoothed rectifier ``gamma * log(1 + exp(x / gamma))``.
-
-    Overflow-safe: for large positive ``x / gamma`` it evaluates the
-    algebraically identical form ``x + gamma * log(1 + exp(-x / gamma))``.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    z, scalar = _as_array(x)
-    out = _softplus_parts(z, gamma)[2]
-    return float(out) if scalar else out
-
-
 def softlif_rate(current, params: NeuronParams = NeuronParams()):
-    """SoftLIF rate: the LIF rate with the rectifier replaced by softplus_gamma.
+    """SoftLIF rate: the LIF rate with the rectifier replaced by the softplus
+    ``gamma * log(1 + exp(x / gamma))``.
 
     Strictly positive and monotone increasing for all representable currents
     (underflows to 0 only when the smoothed rectifier itself underflows).
@@ -126,18 +113,6 @@ def softlif_rate(current, params: NeuronParams = NeuronParams()):
     j, scalar = _as_array(current)
     out = _softlif(j, params)[0]
     return float(out) if scalar else out
-
-
-def softlif_rate_grad(current, params: NeuronParams = NeuronParams()):
-    """Analytic derivative of softlif_rate with respect to the input current.
-
-    With j = softplus_gamma(current - v_th) and r the SoftLIF rate:
-
-        dr/dJ = r^2 * tau_rc * v_th * sigmoid((J - v_th)/gamma) / (j * (j + v_th))
-    """
-    j, scalar = _as_array(current)
-    grad = _softlif_grad(_softlif(j, params)[1], params)
-    return float(grad) if scalar else grad
 
 
 def lif_step_arrays(voltage, refractory, current, dt: float, params: NeuronParams):

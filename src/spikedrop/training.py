@@ -1,13 +1,14 @@
 """Minibatch Adam training of the analog network for squared-error regression.
 
-Dropout is the only regularizer: a fresh set of drop-masks is sampled once per
-minibatch and applied to layer outputs with inverted scaling, matching the
-masked inference path exactly. The backward pass takes no masks: it replays
-each layer's dropout scale from the layer record of the forward pass, and
+Dropout is the only regularizer: each minibatch draws one set of
+inverted-dropout scales from one mask seed (``network._draw_scales``, the rule
+Monte-Carlo inference draws by), and ``network._forward`` applies that one
+draw to every row of the batch and keeps a record list. The backward pass
+takes no masks: it replays each layer's dropout scale from its record, and
 builds each SoftLIF layer's derivative from the intermediates kept there
 (``neuron._softlif``), so no ``exp`` or ``log1p`` is evaluated twice. The
-epoch-end loss passes never backpropagate, so they call ``network._forward``
-without a record list.
+epoch-end loss passes never backpropagate, so they call ``_forward`` without
+a record list.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from .network import (
     InvalidNetworkError,
     NetworkSpec,
     WeightStore,
+    _draw_scales,
     _forward,
     _layer_scales,
-    forward,
     init_weights,
-    sample_masks,
     validate,
 )
+
+# Adam's moment decay rates and denominator floor, the usual defaults
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -40,8 +44,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    adam_betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -51,9 +53,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        b1, b2 = self.adam_betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
 
 
 def loss_mse(predictions, targets) -> float:
@@ -117,7 +116,7 @@ class _AdamState:
         self.t = 0
 
     def step(self, weights: WeightStore, grads: WeightStore, cfg: TrainConfig):
-        b1, b2 = cfg.adam_betas
+        b1, b2 = _ADAM_BETAS
         self.t += 1
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
@@ -132,7 +131,7 @@ class _AdamState:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * (g * g)
-                store[key] -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+                store[key] -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
 def _checked_arrays(spec: NetworkSpec, dataset, name: str):
@@ -183,14 +182,16 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig,
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start: start + config.batch_size]
-            masks = sample_masks(spec, int(rng.integers(2 ** 63)))
-            out, cache = forward(spec, weights, x[idx], masks, neuron_params)
+            scales = _draw_scales(spec, [int(rng.integers(2 ** 63))])
+            records = []
+            out = _forward(spec, weights, x[idx], scales, neuron_params, records)
             batch_loss = loss_mse(out, y[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}"
                 )
-            grads = backward(spec, weights, cache, y[idx], neuron_params)
+            grads = backward(spec, weights, ForwardCache(records, out), y[idx],
+                             neuron_params)
             adam.step(weights, grads, config)
 
         train_mse = loss_mse(_forward(spec, weights, x, unmasked, neuron_params), y)

@@ -5,6 +5,8 @@ import pytest
 
 from spikedrop.cli import main
 from spikedrop.mcinfer import read_samples
+from spikedrop.network import LayerSpec, combo_spec, init_weights, save_model
+from spikedrop.neuron import NeuronParams
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,22 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")]) == 1
         assert f"{bad}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, message", [
+        (True, "tau_ref must be a number, got True"),
+        ("0.004", "tau_ref must be a number, got '0.004'"),
+    ], ids=["tau_ref-bool", "tau_ref-string"])
+    def test_non_number_neuron_constant_names_file_and_field(self, tmp_path, workspace, capsys,
+                                                             value, message):
+        _, data, config, _ = workspace
+        doc = json.loads(config.read_text())
+        doc["neuron_params"] = {"tau_ref": value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["train", "--spec", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_config_neuron_fields_default_when_omitted(self, tmp_path, workspace):
         _, data, config, _ = workspace
         doc = json.loads(config.read_text())
@@ -210,6 +228,22 @@ class TestDataWidth:
         assert f"{narrow} has 6 features, {wanted_by} wants 9" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command", ["infer", "trace"])
+    def test_model_with_two_outputs_is_refused_naming_it(self, workspace, tmp_path, capsys,
+                                                         command):
+        _, data, _, _ = workspace
+        spec = combo_spec(3, 3, cell_hidden=4, drug_hidden=4, head_hidden=0)
+        spec.head = [LayerSpec(12, 2, "linear")]
+        spec.output_dim = 2
+        model = tmp_path / "wide.json"
+        save_model(model, spec, init_weights(spec, seed=0), NeuronParams())
+        argv = [command, "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "o.csv"), "--steps", "300"]
+        if command == "trace":
+            argv += ["--row", "0"]
+        assert main(argv) == 1
+        assert f"model {model} has output_dim 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", ["infer", "trace", "train"])
     def test_non_finite_cell_names_file_row_and_column(self, workspace, tmp_path, capsys,

@@ -71,6 +71,15 @@ class TestLoadCsv:
             load_csv(path, "target")
         assert str(exc.value) == f"{path}: duplicate column {column!r}"
 
+    @pytest.mark.parametrize("header, position", [("a,target,", 3), (" ,a,target", 1),
+                                                  ("a,,target,", 2)])
+    def test_empty_column_name_names_file_and_position(self, tmp_path, header, position):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, "target")
+        assert str(exc.value) == f"{path}: column {position} has an empty name"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,target\n1,2,3\n4,5\n")

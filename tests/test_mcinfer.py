@@ -254,8 +254,8 @@ class TestBatchedAnalogDraws:
 class TestSamplesFile:
     def test_round_trip(self, tmp_path):
         sets = [
-            SampleSet(0, np.array([1.5, -0.25, 3.0]), "analog", 100),
-            SampleSet(1, np.array([0.125, 2.5, -1.75]), "analog", 103),
+            SampleSet(0, np.array([1.5, -0.25, 3.0]), "analog"),
+            SampleSet(1, np.array([0.125, 2.5, -1.75]), "analog"),
         ]
         path = tmp_path / "samples.csv"
         write_samples(path, sets, {"backend": "analog", "seed": 100})
@@ -277,7 +277,7 @@ class TestSamplesFile:
                           np.array(data.draw(st.lists(st.floats(allow_nan=False,
                                                                 allow_infinity=False),
                                                       min_size=1, max_size=20))),
-                          data.draw(st.sampled_from(BACKENDS)), 0)
+                          data.draw(st.sampled_from(BACKENDS)))
                 for obs_id in ids]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "samples.csv"
@@ -294,7 +294,7 @@ class TestSamplesFile:
     def test_non_finite_prediction_rejected(self, tmp_path, value):
         # predictive draws are finite; the reader refuses a file that says otherwise
         path = tmp_path / "s.csv"
-        write_samples(path, [SampleSet(3, np.array([0.5, value]), "spiking", 0)])
+        write_samples(path, [SampleSet(3, np.array([0.5, value]), "spiking")])
         with pytest.raises(ValueError, match=f"{path}: row 2: non-finite prediction"):
             read_samples(path)
 

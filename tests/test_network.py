@@ -401,6 +401,18 @@ class TestModelFile:
             for key, arr in store.items():
                 assert got[key].shape == arr.shape and got[key].tobytes() == arr.tobytes()
 
+    def test_integer_numbers_load_as_floats(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())
+        doc = json.loads(path.read_text())
+        doc["spec"]["encoders"][0]["layers"][0]["keep_prob"] = 1
+        doc["neuron_params"]["v_th"] = 2
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        keep_prob = loaded.spec.encoders[0].layers[0].keep_prob
+        assert type(keep_prob) is float and keep_prob == 1.0
+        assert type(loaded.neuron_params.v_th) is float and loaded.neuron_params.v_th == 2.0
+
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"something": 1}')
@@ -439,10 +451,21 @@ class TestModelFile:
          "length must be an integer, got 4.0"),
         (lambda doc: doc["spec"].update(output_dim=True),
          "output_dim must be an integer, got True"),
+        (lambda doc: doc["spec"]["encoders"][0]["layers"][0].update(keep_prob=True),
+         "keep_prob must be a number, got True"),
+        (lambda doc: doc["spec"]["encoders"][0]["layers"][0].update(keep_prob="0.5"),
+         "keep_prob must be a number, got '0.5'"),
+        (lambda doc: doc["neuron_params"].update(v_th="1.0"),
+         "v_th must be a number, got '1.0'"),
+        (lambda doc: doc["neuron_params"].update(tau_rc=float("nan")),
+         "tau_rc must be a number, got nan"),
+        (lambda doc: doc["neuron_params"].update(gamma=10 ** 400),
+         "gamma must be a number, got 10{400}$"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
             "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma",
             "unused-weights", "neuron-field-typo", "in_dim-float", "out_dim-string",
-            "offset-float", "length-float", "output_dim-bool"])
+            "offset-float", "length-float", "output_dim-bool", "keep_prob-bool",
+            "keep_prob-string", "v_th-string", "tau_rc-nan", "gamma-huge-int"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())

@@ -244,8 +244,6 @@ class TestAdam:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_betas=(1.0, 0.9))
 
 
 class TestTrain:
@@ -329,9 +327,50 @@ class TestTrain:
         def no_forward(*args, **kwargs):
             raise AssertionError("a minibatch ran before the datasets were checked")
 
-        monkeypatch.setattr(training_mod, "forward", no_forward)
+        monkeypatch.setattr(training_mod, "_forward", no_forward)
         with pytest.raises(error, match=message):
             train(tiny_spec(), sets["train"], TrainConfig(epochs=1), P, eval_dataset=sets["eval"])
+
+    def test_minibatch_masks_are_the_public_one_seed_masks(self):
+        # a keep_prob < 1 tower, a shared keep_prob < 1 tower pair and a
+        # keep_prob == 1 hidden head layer; 50 rows leave a partial minibatch
+        spec = NetworkSpec(
+            input_slices=[("c", 0, 2), ("a", 2, 2), ("b", 4, 2)],
+            encoders=[
+                EncoderSpec(["c"], [LayerSpec(2, 3, "softlif", 0.7)]),
+                EncoderSpec(["a"], [LayerSpec(2, 3, "softlif", 0.5)], share_tag="d"),
+                EncoderSpec(["b"], [LayerSpec(2, 3, "softlif", 0.5)], share_tag="d"),
+            ],
+            head=[LayerSpec(9, 4, "softlif", 1.0), LayerSpec(4, 1, "linear")],
+            output_dim=1,
+        )
+        rng = np.random.default_rng(8)
+        ds = Dataset(features=rng.normal(size=(50, 6)), targets=rng.normal(size=50),
+                     feature_names=list("abcdef"))
+        holdout = Dataset(features=rng.normal(size=(10, 6)), targets=rng.normal(size=10),
+                          feature_names=list("abcdef"))
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=3)
+        got_w, got_h = train(spec, ds, cfg, P, eval_dataset=holdout)
+
+        # the same loop through the public mask set and forward pass, drawing
+        # from one generator in the order train does
+        rng = np.random.default_rng(cfg.seed)
+        weights = init_weights(spec, seed=int(rng.integers(2 ** 32)), bias_value=P.v_th)
+        adam = _AdamState(weights)
+        want_h = []
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(len(ds))
+            for start in range(0, len(ds), cfg.batch_size):
+                idx = perm[start: start + cfg.batch_size]
+                masks = sample_masks(spec, rng.integers(2 ** 63))
+                _, cache = forward(spec, weights, ds.features[idx], masks, P)
+                adam.step(weights, backward(spec, weights, cache, ds.targets[idx], P), cfg)
+            want_h.append((epoch,
+                           loss_mse(forward(spec, weights, ds.features, None, P)[0], ds.targets),
+                           loss_mse(forward(spec, weights, holdout.features, None, P)[0],
+                                    holdout.targets)))
+        assert weights_equal(got_w, weights)
+        assert got_h == want_h
 
     def test_eval_history_column(self):
         ds = synth_combo(100, 2, 2, seed=6)
