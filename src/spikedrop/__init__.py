@@ -1,11 +1,11 @@
 """Monte-Carlo dropout uncertainty estimation on spiking LIF networks.
 
 Train a feedforward regressor on the smoothed (SoftLIF) rate curve with
-dropout, transfer the weights unchanged to a spiking network, and build
-predictive distributions on either backend by repeating masked evaluations.
+dropout, transfer the weights unchanged to a spiking network (``convert``
+checks the analog model and returns it uncopied), and build predictive
+distributions on either backend by repeating masked evaluations.
 """
 
-from .convert import convert
 from .data import Dataset, load_csv, save_csv, synth_combo, train_test_split
 from .mcinfer import SampleSet, predictive_distribution, read_samples, write_samples
 from .network import (
@@ -15,6 +15,7 @@ from .network import (
     NetworkSpec,
     WeightStore,
     combo_spec,
+    convert,
     forward,
     init_weights,
     load_model,
@@ -23,7 +24,7 @@ from .network import (
     validate,
 )
 from .neuron import NeuronParams, lif_rate, lif_step_arrays, softlif_rate
-from .snn import OutputTrace, SimConfig, simulate, summarize_trace, write_trace
+from .snn import SimConfig, simulate, summarize_trace, write_trace
 from .stats import (
     KsResult,
     UniformityReport,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -33,8 +34,8 @@ def _checked(kind, ok, rule):
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
-_NONNEGATIVE_FLOAT = _checked(float, lambda v: v >= 0, ">= 0")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _KEEP_PROB = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
@@ -186,7 +187,7 @@ def cmd_trace(args) -> int:
         "dt": sim.dt,
         "burnin": sim.burn_in_steps,
     }
-    snn.write_trace(args.out, trace, meta)
+    snn.write_trace(args.out, trace, sim.dt, meta)
     print(f"wrote {len(trace)} ticks to {args.out}")
     return 0
 

@@ -12,8 +12,8 @@ scales drawn in one call: the analog draws of a block are one batched forward
 pass, the spiking draws one batched simulation (``snn._draw_means``: from
 exact spike times when no SoftLIF layer lies downstream of another, else
 stepped tick by tick). Both read the caller's spec and weights uncopied; the
-spiking backend first makes ``convert``'s checks and runs the caller's
-triple as one ``network.Model``.
+spiking backend runs the ``network.Model`` that ``network.convert`` checks
+and builds from them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (InvalidNetworkError, Model, NetworkSpec, WeightStore, _draw_scales,
-                      _forward, validate, validate_weights)
+from .network import (InvalidNetworkError, NetworkSpec, WeightStore, _draw_scales, _forward,
+                      convert)
 from .neuron import NeuronParams
 from .snn import SimConfig, _draw_means
 
@@ -68,9 +68,7 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
         )
 
     if backend == "spiking":
-        validate(spec)  # the checks of convert, on the caller's model uncopied
-        validate_weights(spec, weights)
-        net = Model(spec, weights, params)
+        net = convert(spec, weights, params)
         sim = SimConfig() if sim is None else sim
     draws = np.empty(n_draws)
     for first in range(0, n_draws, _BLOCK_DRAWS):

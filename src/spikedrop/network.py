@@ -13,6 +13,9 @@ inference and training's minibatches both draw this way. A mask set is a
 plain dict from layer instance key to a 0/1 vector. The mask seed rule is
 written once, in ``_draw_scales``; ``sample_masks`` is its one-seed case.
 
+``convert`` is the one checked constructor of ``Model``, the record both
+backends run; it holds the caller's spec and weights uncopied.
+
 One private traversal (``_traverse``) walks the towers and the head for both
 backends: ``_forward`` runs it with the analog layer step, on rows that may
 each carry their own scales, and ``snn`` with the LIF layer step. ``forward``
@@ -131,12 +134,6 @@ class WeightStore:
     def keys(self):
         return self.weights.keys()
 
-    def copy(self) -> "WeightStore":
-        return WeightStore(
-            {k: v.copy() for k, v in self.weights.items()},
-            {k: v.copy() for k, v in self.biases.items()},
-        )
-
     def zeros_like(self) -> "WeightStore":
         return WeightStore(
             {k: np.zeros_like(v) for k, v in self.weights.items()},
@@ -182,6 +179,9 @@ def validate(spec: NetworkSpec) -> None:
 
     slice_names = set(names)
     for i, enc in enumerate(spec.encoders):
+        if not (enc.share_tag is None or (isinstance(enc.share_tag, str) and enc.share_tag)):
+            raise InvalidNetworkError(f"encoder {i}: share_tag must be null or a "
+                                      f"non-empty string, got {enc.share_tag!r}")
         if not enc.slices:
             raise InvalidNetworkError(f"encoder {i}: reads no slices")
         for name in enc.slices:
@@ -326,9 +326,7 @@ def _stream_uniforms(seeds, widths) -> list:
 class LayerRecord(NamedTuple):
     """Cached per-layer values from one forward pass (inputs to backprop)."""
 
-    instance_key: str
     weight_key: str
-    layer: LayerSpec
     a_in: np.ndarray      # (n, in_dim) layer input
     softlif: Optional[tuple]  # neuron._softlif's (q, t, soft, rate); None on linear layers
     scale: Optional[np.ndarray]  # mask / keep_prob, as _forward took it; None if unmasked
@@ -420,7 +418,7 @@ def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
     instances = list(spec.layer_instances())
 
     def step(i, a):
-        ikey, wkey, layer, _ = instances[i]
+        _, wkey, layer, _ = instances[i]
         act = a @ weights.weights[wkey].T + weights.biases[wkey]
         parts = None
         if layer.activation == "softlif":
@@ -428,7 +426,7 @@ def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
         if scales[i] is not None:
             act = act * scales[i]
         if records is not None:
-            records.append(LayerRecord(ikey, wkey, layer, a, parts, scales[i]))
+            records.append(LayerRecord(wkey, a, parts, scales[i]))
         return act
 
     return _traverse(spec, [_gather_slices(spec, enc, rows) for enc in spec.encoders], step)
@@ -488,6 +486,22 @@ def _json_int(d: dict, key: str) -> int:
     return value
 
 
+def _json_str(d: dict, key: str) -> str:
+    """``d[key]``, refused unless it is a JSON string."""
+    value = d[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _json_strings(d: dict, key: str) -> list:
+    """``d[key]``, refused unless it is a JSON list of strings."""
+    value = d[key]
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return list(value)
+
+
 def _json_number(d: dict, key: str) -> float:
     """``d[key]`` as a float, refused unless it is a finite JSON number (an
     integer or a float, not a string, a bool, NaN, an infinity or an integer
@@ -534,11 +548,11 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
 
 def spec_from_dict(d: dict) -> NetworkSpec:
     return NetworkSpec(
-        input_slices=[(s["name"], _json_int(s, "offset"), _json_int(s, "length"))
+        input_slices=[(_json_str(s, "name"), _json_int(s, "offset"), _json_int(s, "length"))
                       for s in d["input_slices"]],
         encoders=[
             EncoderSpec(
-                slices=list(e["slices"]),
+                slices=_json_strings(e, "slices"),
                 layers=[_layer_from_dict(l) for l in e["layers"]],
                 share_tag=e.get("share_tag"),
             )
@@ -556,6 +570,16 @@ class Model(NamedTuple):
     spec: NetworkSpec
     weights: WeightStore
     neuron_params: NeuronParams
+
+
+def convert(spec: NetworkSpec, weights: WeightStore, params: NeuronParams) -> Model:
+    """The identity transfer to a spiking network: the caller's objects,
+    checked and uncopied, as one Model. The simulator runs the hard-threshold
+    neuron whose rate the SoftLIF curve smoothed (its width plays no role),
+    and linear layers stay a non-spiking affine readout."""
+    validate(spec)  # rejects unknown activation tags
+    validate_weights(spec, weights)
+    return Model(spec, weights, params)
 
 
 def save_model(path, spec: NetworkSpec, weights: WeightStore,
@@ -608,16 +632,14 @@ def load_model(path) -> Model:
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InvalidNetworkError(f"not a {MODEL_FORMAT} file: {path}")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise InvalidNetworkError(
-            f"{path}: unsupported format_version {doc.get('format_version')!r} "
-            f"(this reader supports {MODEL_FORMAT_VERSION})"
-        )
     with _naming_file(path):
+        version = _json_int(doc, "format_version") if "format_version" in doc else None
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r} "
+                             f"(this reader supports {MODEL_FORMAT_VERSION})")
         if doc["kind"] != "analog":
             raise ValueError(f"unknown model kind {doc['kind']!r}")
         spec = spec_from_dict(doc["spec"])
-        validate(spec)
         np_doc = doc["neuron_params"]
         _check_neuron_fields(np_doc)
         params = NeuronParams(**{f.name: _json_number(np_doc, f.name)
@@ -626,5 +648,4 @@ def load_model(path) -> Model:
             {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},
             {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},
         )
-        validate_weights(spec, weights)
-        return Model(spec, weights, params)
+        return convert(spec, weights, params)

@@ -1,23 +1,24 @@
 """Simulation of the spiking network: clock-driven runs, one per fixed drop-mask.
 
 The network simulated is a ``network.Model``, the analog model itself: the
-same structure, weights and neuron constants (``convert`` makes a checked
-copy; ``mcinfer``'s spiking draws read the caller's model uncopied). Each
-tick walks the network with the same traversal as the analog forward pass
-(``network._traverse``), with a LIF step in place of the rate curve. Inputs
-are held as constant injected currents into the first weight layer. Each
-spike deposits an impulse of height 1/dt into the emitting neuron's synaptic
-lowpass filter, so the filtered signal is in Hz and directly comparable to
-the analog activations. As in ``forward``, each layer's output is multiplied
-by its dropout scale; ``dt <= tau_syn`` keeps every filter non-negative, so a
-dropped neuron contributes exactly ``+0.0`` downstream.
+same structure, weights and neuron constants, checked by ``network.convert``
+and never copied. Each tick walks the network with the same traversal as the
+analog forward pass (``network._traverse``), with a LIF step in place of the
+rate curve. Inputs are held as constant injected currents into the first
+weight layer. Each spike deposits an impulse of height 1/dt into the emitting
+neuron's synaptic lowpass filter, so the filtered signal is in Hz and
+directly comparable to the analog activations. As in ``forward``, each
+layer's output is multiplied by its dropout scale; ``dt <= tau_syn`` keeps
+every filter non-negative, so a dropped neuron contributes exactly ``+0.0``
+downstream.
 
 The Monte-Carlo draws of one observation are evaluated together, each
 layer's state held as a (draws, width) array, one row per draw and its
 dropout scales; every draw starts from its own initial voltages, by one seed
 rule (``_initial_voltages``: draw k from ``v0_seed + k``). ``simulate`` is
-the one-draw case of the clock-driven core (``_simulate_block``).
-``mcinfer.predictive_distribution`` asks ``_draw_means`` for each draw's
+the one-draw case of the clock-driven core (``_simulate_block``) and returns
+the per-tick output potential as a plain array, which ``summarize_trace``
+and ``write_trace`` read. ``mcinfer.predictive_distribution`` asks ``_draw_means`` for each draw's
 post-burn-in mean. When no SoftLIF layer lies downstream of another (SoftLIF
 towers and an affine head, say), every SoftLIF layer sees a constant current
 and everything after it is affine, so ``_draw_means`` takes the mean from
@@ -74,19 +75,10 @@ class SimConfig:
             raise ValueError(f"dt ({self.dt}) must not exceed tau_syn ({self.tau_syn})")
 
 
-@dataclass
-class OutputTrace:
-    """Per-tick output potential; shape (n_steps,) or (n_steps, output_dim)."""
-
-    values: np.ndarray
-    dt: float
-
-    def __len__(self):
-        return len(self.values)
-
-
-def simulate(net: Model, input, masks, sim: SimConfig) -> OutputTrace:
+def simulate(net: Model, input, masks, sim: SimConfig) -> np.ndarray:
     """Run one simulation under one fixed mask set; deterministic throughout.
+    Returns the per-tick output potential, shape (n_steps,) for a scalar
+    output, else (n_steps, output_dim).
 
     ``masks=None`` runs the network without dropout (the deterministic
     spiking analog of a mask-free forward pass).
@@ -98,8 +90,7 @@ def simulate(net: Model, input, masks, sim: SimConfig) -> OutputTrace:
         )
     scales = _layer_scales(net.spec, masks)
     trace = _simulate_block(net, x, scales, sim, first_draw=0, n=1)[0]
-    values = trace[:, 0] if net.spec.output_dim == 1 else trace
-    return OutputTrace(values=values, dt=sim.dt)
+    return trace[:, 0] if net.spec.output_dim == 1 else trace
 
 
 def _draw_means(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
@@ -326,23 +317,24 @@ def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
     return traces
 
 
-def summarize_trace(trace: OutputTrace, burn_in_steps: int):
-    """Mean output potential over the ticks after the burn-in window."""
-    n = len(trace.values)
+def summarize_trace(trace: np.ndarray, burn_in_steps: int):
+    """Mean output potential of a ``simulate`` trace over the ticks after the
+    burn-in window."""
+    n = len(trace)
     if burn_in_steps >= n:
         raise ValueError(f"burn_in_steps {burn_in_steps} >= trace length {n}")
     if burn_in_steps < 0:
         raise ValueError("burn_in_steps must be >= 0")
-    tail = trace.values[burn_in_steps:]
+    tail = trace[burn_in_steps:]
     mean = tail.mean(axis=0)
     return float(mean) if np.ndim(mean) == 0 else mean
 
 
-def write_trace(path, trace: OutputTrace, meta=None) -> None:
-    """Dump a scalar-output trace as comma-separated text:
-    tick, time_s, output_potential. ``meta`` entries become '# key=value'
-    comment lines before the header row."""
-    values = np.asarray(trace.values)
+def write_trace(path, trace: np.ndarray, dt: float, meta=None) -> None:
+    """Dump a scalar-output ``simulate`` trace of tick length ``dt`` as
+    comma-separated text: tick, time_s, output_potential. ``meta`` entries
+    become '# key=value' comment lines before the header row."""
+    values = np.asarray(trace)
     if values.ndim != 1:
         raise ValueError("trace dump supports scalar-output traces only")
     with open(path, "w", encoding="utf-8") as f:
@@ -350,4 +342,4 @@ def write_trace(path, trace: OutputTrace, meta=None) -> None:
             f.write(f"# {key}={val}\n")
         f.write("tick,time_s,output_potential\n")
         for i, v in enumerate(values):
-            f.write(f"{i},{i * trace.dt!r},{float(v)!r}\n")
+            f.write(f"{i},{i * dt!r},{float(v)!r}\n")

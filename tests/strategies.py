@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from spikedrop.network import EncoderSpec, LayerSpec, NetworkSpec
+from spikedrop.network import EncoderSpec, LayerSpec, NetworkSpec, WeightStore
 
 
 @st.composite
@@ -76,6 +76,12 @@ def single_tower(input_dim: int, layers, slice_name: str = "features") -> Networ
         head=list(layers),
         output_dim=layers[-1].out_dim,
     )
+
+
+def copy_weights(store):
+    """A WeightStore holding copies of every array of ``store``."""
+    return WeightStore({k: v.copy() for k, v in store.weights.items()},
+                       {k: v.copy() for k, v in store.biases.items()})
 
 
 def weights_equal(a, b) -> bool:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from spikedrop.cli import main
+from spikedrop.data import load_csv
 from spikedrop.mcinfer import read_samples
-from spikedrop.network import LayerSpec, combo_spec, init_weights, save_model
+from spikedrop.network import (LayerSpec, combo_spec, init_weights, load_model, sample_masks,
+                               save_model)
 from spikedrop.neuron import NeuronParams
+from spikedrop.snn import SimConfig, simulate, summarize_trace
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +196,17 @@ class TestUsageErrors:
         (["init-spec", "--gamma", "0"], "--gamma"),
         (["synth", "--noise-std", "-1"], "--noise-std"),
         (["trace", "--row", "-1"], "--row"),
+        (["init-spec", "--tau-rc", "inf"], "--tau-rc"),
+        (["synth", "--noise-std", "inf"], "--noise-std"),
+        (["infer", "--dt", "inf", "--tausyn", "0"], "--dt"),
+        (["trace", "--row", "0", "--tausyn", "inf"], "--tausyn"),
+        (["train", "--lr", "inf"], "--lr"),
     ], ids=["draws", "burnin-infer", "burnin-trace", "steps", "dt", "tausyn", "epochs",
             "batch", "lr", "dt-over-tausyn-infer", "dt-over-tausyn-trace", "keep-prob",
             "test-fraction", "seed-infer", "v0-seed", "mask-seed", "seed-synth", "seed-train",
             "n", "drug-dim", "cell-hidden", "head-hidden", "tau-ref", "tau-rc", "v-th",
-            "gamma", "noise-std", "row"])
+            "gamma", "noise-std", "row", "tau-rc-inf", "noise-std-inf", "dt-inf",
+            "tausyn-inf", "lr-inf"])
     def test_out_of_range_flag_exits_2_naming_it(self, argv, flag, capsys):
         files = {"infer": ["--model", "m.json", "--data", "d.csv"],
                  "trace": ["--model", "m.json", "--data", "d.csv"],
@@ -366,6 +375,26 @@ class TestTrace:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#")]
         assert len(rows) == 91  # header + 90 ticks
+
+    def test_ticks_equal_the_library_simulation(self, workspace, tmp_path):
+        _, data, _, model_path = workspace
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--model", str(model_path), "--data", str(data), "--row", "2",
+                     "--mask-seed", "5", "--dt", "0.0005", "--tausyn", "0.005",
+                     "--steps", "120", "--burnin", "20", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        meta = dict(l.lstrip("# ").split("=", 1) for l in lines if l.startswith("#"))
+        header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+        assert header == ["tick", "time_s", "output_potential"]
+
+        model = load_model(model_path)
+        x = load_csv(data, target_column="target").features[2]
+        sim = SimConfig(dt=0.0005, n_steps=120, burn_in_steps=20, tau_syn=0.005)
+        want = simulate(model, x, sample_masks(model.spec, 5), sim)
+        assert [int(tick) for tick, _, _ in rows] == list(range(120))
+        assert [time_s for _, time_s, _ in rows] == [repr(i * 0.0005) for i in range(120)]
+        assert [float(v) for _, _, v in rows] == want.tolist()
+        assert meta["post_burn_in_mean"] == repr(summarize_trace(want, 20))
 
 
 class TestCompare:

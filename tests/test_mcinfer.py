@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikedrop.convert import convert
 from spikedrop.mcinfer import (
     _BLOCK_DRAWS,
     BACKENDS,
@@ -23,6 +22,7 @@ from spikedrop.network import (
     InvalidNetworkError,
     LayerSpec,
     NetworkSpec,
+    convert,
     forward,
     init_weights,
     sample_masks,

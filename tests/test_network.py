@@ -24,7 +24,7 @@ from spikedrop.network import (
     validate,
 )
 from spikedrop.neuron import NeuronParams
-from strategies import dropout_networks, single_tower, weights_equal
+from strategies import copy_weights, dropout_networks, single_tower, weights_equal
 
 P = NeuronParams()
 
@@ -50,6 +50,19 @@ class TestValidate:
         spec = minimal_spec()
         spec.head = [LayerSpec(9, 1, "linear")]
         with pytest.raises(InvalidNetworkError, match="head dimension mismatch"):
+            validate(spec)
+
+    def test_empty_share_tag_refused(self):
+        # "" would key its layers by position yet group its towers as a tag
+        spec = NetworkSpec(
+            input_slices=[("a", 0, 3), ("b", 3, 3)],
+            encoders=[EncoderSpec(["a"], [LayerSpec(3, 3)], share_tag=""),
+                      EncoderSpec(["b"], [LayerSpec(3, 5)], share_tag="")],
+            head=[LayerSpec(8, 1, "linear")],
+            output_dim=1,
+        )
+        with pytest.raises(InvalidNetworkError,
+                           match="encoder 0: share_tag must be null or a non-empty string"):
             validate(spec)
 
     def test_shared_shape_conflict(self):
@@ -181,7 +194,7 @@ class TestForward:
         out, _ = forward(spec, w, x, {"enc0:0": mask}, P)
 
         # oracle: delete the dropped neuron's outgoing weights, rescale others
-        w2 = w.copy()
+        w2 = copy_weights(w)
         w2.weights["head:0"][:, 3] = 0.0
         w2.weights["head:0"] /= 0.8
         w2.biases["head:0"] = w.biases["head:0"].copy()
@@ -277,8 +290,8 @@ class TestForward:
         x = np.array([0.5, -0.5, 1.0, 2.0, 0.0])
         out, cache = forward(spec, w, x, None, P)
         # head input begins with the untouched raw slice
-        head = cache.records[-1]
-        assert head.instance_key == "head:0"
+        keys = [ikey for ikey, _, _, _ in spec.layer_instances()]
+        head = cache.records[keys.index("head:0")]  # records follow layer_instances order
         assert np.array_equal(head.a_in[0, :2], x[:2])
 
 
@@ -461,11 +474,26 @@ class TestModelFile:
          "tau_rc must be a number, got nan"),
         (lambda doc: doc["neuron_params"].update(gamma=10 ** 400),
          "gamma must be a number, got 10{400}$"),
+        (lambda doc: doc.update(format_version=True), "format_version must be an integer, got True"),
+        (lambda doc: doc.update(format_version=1.0), "format_version must be an integer, got 1.0"),
+        (lambda doc: doc["spec"]["encoders"][0].update(share_tag=""),
+         "encoder 0: share_tag must be null or a non-empty string, got ''"),
+        (lambda doc: doc["spec"]["encoders"][0].update(share_tag=7),
+         "encoder 0: share_tag must be null or a non-empty string, got 7"),
+        (lambda doc: doc["spec"]["encoders"][0].update(slices="features"),
+         "slices must be a list of strings, got 'features'"),
+        (lambda doc: (doc["spec"]["input_slices"][0].update(name=0),
+                      doc["spec"]["encoders"][0].update(slices=[0])),
+         "name must be a string, got 0"),
+        (lambda doc: doc["spec"]["encoders"][0].update(slices=[0]),
+         r"slices must be a list of strings, got \[0\]"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
             "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma",
             "unused-weights", "neuron-field-typo", "in_dim-float", "out_dim-string",
             "offset-float", "length-float", "output_dim-bool", "keep_prob-bool",
-            "keep_prob-string", "v_th-string", "tau_rc-nan", "gamma-huge-int"])
+            "keep_prob-string", "v_th-string", "tau_rc-nan", "gamma-huge-int",
+            "version-bool", "version-float", "share_tag-empty", "share_tag-int",
+            "slices-string", "slice-name-int", "slices-int"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spikedrop.convert import convert
 from spikedrop import snn
 from spikedrop.mcinfer import _BLOCK_DRAWS, predictive_distribution
 from spikedrop.network import (
@@ -13,6 +12,7 @@ from spikedrop.network import (
     LayerSpec,
     NetworkSpec,
     _draw_scales,
+    convert,
     forward,
     init_weights,
     load_model,
@@ -20,9 +20,9 @@ from spikedrop.network import (
     save_model,
 )
 from spikedrop.neuron import NeuronParams, lif_rate, lif_step_arrays
-from strategies import dropout_networks, one_spiking_layer_per_path_networks, single_tower
+from strategies import (copy_weights, dropout_networks, one_spiking_layer_per_path_networks,
+                        single_tower)
 from spikedrop.snn import (
-    OutputTrace,
     SimConfig,
     simulate,
     summarize_trace,
@@ -97,21 +97,21 @@ class TestSimulate:
     def test_zero_network_gives_zero_trace(self):
         net = one_neuron_net(weight=0.0, bias=0.0, readout=0.0)
         trace = simulate(net, np.array([1.0]), None, SimConfig(n_steps=100, burn_in_steps=10))
-        assert np.all(trace.values == 0.0)
+        assert np.all(trace == 0.0)
 
     def test_deterministic_bitwise(self):
         net = one_neuron_net(weight=1.0)
         sim = SimConfig(n_steps=300, burn_in_steps=50)
         a = simulate(net, np.array([2.0]), None, sim)
         b = simulate(net, np.array([2.0]), None, sim)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_single_neuron_filtered_rate_matches_closed_form(self):
         # constant J = 2, tau_syn = 5 ms, 10 s at dt = 1e-4
         net = one_neuron_net(weight=1.0)
         sim = SimConfig(dt=1e-4, n_steps=100_000, burn_in_steps=0, tau_syn=0.005)
         trace = simulate(net, np.array([2.0]), None, sim)
-        assert np.mean(trace.values) == pytest.approx(lif_rate(2.0, P), rel=0.02)
+        assert np.mean(trace) == pytest.approx(lif_rate(2.0, P), rel=0.02)
 
     def test_rate_bank_matches_closed_form(self):
         # several suprathreshold drives at once, 5 s at dt = 1e-4
@@ -119,7 +119,7 @@ class TestSimulate:
         net = rate_bank_net(currents)
         sim = SimConfig(dt=1e-4, n_steps=50_000, burn_in_steps=0, tau_syn=0.005)
         trace = simulate(net, np.array([0.0]), None, sim)
-        means = trace.values.mean(axis=0)
+        means = trace.mean(axis=0)
         for current, measured in zip(currents, means):
             assert measured == pytest.approx(lif_rate(current, P), rel=0.02)
 
@@ -128,8 +128,8 @@ class TestSimulate:
         net = one_neuron_net(weight=1.0)
         sim = SimConfig(dt=1e-3, n_steps=5000, burn_in_steps=0, tau_syn=0.0)
         trace = simulate(net, np.array([2.0]), None, sim)
-        assert set(np.unique(trace.values)) <= {0.0, 1.0 / sim.dt}
-        assert np.mean(trace.values) == pytest.approx(lif_rate(2.0, P), rel=0.02)
+        assert set(np.unique(trace)) <= {0.0, 1.0 / sim.dt}
+        assert np.mean(trace) == pytest.approx(lif_rate(2.0, P), rel=0.02)
 
     def test_linear_network_reproduces_affine_map_every_tick(self):
         spec = single_tower(3, [LayerSpec(3, 1, "linear")])
@@ -138,7 +138,7 @@ class TestSimulate:
         x = np.array([0.5, -1.0, 2.0])
         analog, _ = forward(spec, w, x, None, P)
         trace = simulate(net, x, None, SimConfig(n_steps=50, burn_in_steps=5))
-        assert np.all(np.abs(trace.values - analog[0]) < 1e-12)
+        assert np.all(np.abs(trace - analog[0]) < 1e-12)
 
     def test_full_network_no_dropout_matches_analog(self):
         # hand-conditioned net: currents in the comfortable 1.5..3 band,
@@ -182,7 +182,7 @@ class TestSimulate:
         x = np.array([0.8, 1.2])
         analog = float(forward(spec, w, x, None, P)[0][0])
         trace = simulate(net, x, None, SimConfig())
-        tail = trace.values[200:]
+        tail = trace[200:]
         assert np.std(tail) < 0.10 * abs(analog) + 0.1
 
     def test_masked_neuron_equals_edited_network(self):
@@ -207,11 +207,11 @@ class TestSimulate:
         mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
         masked = simulate(net, x, {"enc0:0": mask}, sim)
 
-        edited = w.copy()
+        edited = copy_weights(w)
         edited.weights["head:0"] = edited.weights["head:0"] * mask / keep_prob
         edited_net = convert(spec, edited, P)
         reference = simulate(edited_net, x, None, sim)
-        assert np.allclose(masked.values, reference.values, rtol=1e-12, atol=1e-12)
+        assert np.allclose(masked, reference, rtol=1e-12, atol=1e-12)
 
     def test_heterogeneous_start_changes_transient_not_summary(self):
         net = one_neuron_net(weight=1.0)
@@ -219,7 +219,7 @@ class TestSimulate:
         sim1 = SimConfig(n_steps=2000, burn_in_steps=500, v0_seed=1)
         t0 = simulate(net, np.array([2.0]), None, sim0)
         t1 = simulate(net, np.array([2.0]), None, sim1)
-        assert not np.array_equal(t0.values, t1.values)
+        assert not np.array_equal(t0, t1)
         assert summarize_trace(t0, 500) == pytest.approx(summarize_trace(t1, 500), rel=0.05)
 
     @pytest.mark.parametrize("v0_seed", [1, 12345])
@@ -251,7 +251,7 @@ class TestSimulate:
             while 1.5 + (v - 1.5) * decay < P.v_th:
                 v = 1.5 + (v - 1.5) * decay
                 tick += 1
-            assert np.flatnonzero(trace.values[:, j])[0] == tick
+            assert np.flatnonzero(trace[:, j])[0] == tick
 
     def test_all_dropped_layer_gives_zero_trace(self):
         # dropping every neuron of the only hidden layer silences the network
@@ -266,7 +266,7 @@ class TestSimulate:
         net = convert(spec, w, P)
         masks = {"enc0:0": np.zeros(3)}
         trace = simulate(net, np.array([5.0]), masks, SimConfig(n_steps=100, burn_in_steps=10))
-        assert np.all(trace.values == 0.0)
+        assert np.all(trace == 0.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=dropout_networks(), seed=st.integers(0, 2 ** 32 - 1))
@@ -288,7 +288,7 @@ class TestSimulate:
         masks = sample_masks(spec, seed)
         analog, _ = forward(spec, w, x, masks, P)
         trace = simulate(net, x, masks, SimConfig(n_steps=4, burn_in_steps=0))
-        assert np.allclose(trace.values, analog, rtol=1e-12, atol=1e-12)
+        assert np.allclose(trace, analog, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=dropout_networks("softlif"), seed=st.integers(0, 2 ** 32 - 1),
@@ -314,7 +314,7 @@ class TestSimulate:
                 dropped[wkey] = dropped[wkey] & off if wkey in dropped else off
         assume(any(off.any() for off in dropped.values()))
         rng = np.random.default_rng(seed)
-        edited = w.copy()
+        edited = copy_weights(w)
         for wkey, off in dropped.items():
             edited.weights[wkey][off] = rng.normal(0.0, spread, edited.weights[wkey][off].shape)
             edited.biases[wkey][off] = rng.normal(0.0, spread, off.sum())
@@ -322,7 +322,7 @@ class TestSimulate:
         sim = SimConfig(n_steps=60, burn_in_steps=0)
         trace = simulate(convert(spec, w, P), x, masks, sim)
         edited_trace = simulate(convert(spec, edited, P), x, masks, sim)
-        assert np.array_equal(trace.values, edited_trace.values)
+        assert np.array_equal(trace, edited_trace)
 
     def test_mixed_passthrough_and_spiking_encoders(self):
         spec = NetworkSpec(
@@ -342,7 +342,7 @@ class TestSimulate:
         trace = simulate(net, x, None, SimConfig(n_steps=30, burn_in_steps=5))
         # only the raw passthrough contributes: constant affine of the slice
         expected = w.weights["head:0"][0, :2] @ x[:2]
-        assert np.allclose(trace.values, expected, rtol=1e-12)
+        assert np.allclose(trace, expected, rtol=1e-12)
 
     def test_loaded_model_simulates_as_its_converted_copy(self, tmp_path):
         spec = NetworkSpec(
@@ -361,7 +361,7 @@ class TestSimulate:
         sim = SimConfig(n_steps=120, burn_in_steps=20)
         got = simulate(model, x, masks, sim)
         want = simulate(convert(model.spec, model.weights, model.neuron_params), x, masks, sim)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_input_dimension_checked(self):
         net = one_neuron_net()
@@ -744,32 +744,32 @@ class TestEventDrivenDraws:
 
 class TestSummarizeTrace:
     def test_constant_trace(self):
-        trace = OutputTrace(values=np.full(10, 3.5), dt=0.001)
+        trace = np.full(10, 3.5)
         assert summarize_trace(trace, 4) == 3.5
 
     def test_transient_excluded(self):
-        trace = OutputTrace(values=np.array([100.0, 100.0, 5.0, 5.0]), dt=0.001)
+        trace = np.array([100.0, 100.0, 5.0, 5.0])
         assert summarize_trace(trace, 2) == 5.0
 
     def test_ramp_mean(self):
-        trace = OutputTrace(values=np.arange(1000.0), dt=0.001)
+        trace = np.arange(1000.0)
         assert summarize_trace(trace, 200) == pytest.approx(599.5)
 
     def test_burn_in_too_long(self):
-        trace = OutputTrace(values=np.arange(10.0), dt=0.001)
+        trace = np.arange(10.0)
         with pytest.raises(ValueError):
             summarize_trace(trace, 10)
 
     def test_vector_output(self):
-        trace = OutputTrace(values=np.tile([[1.0, 2.0]], (6, 1)), dt=0.001)
+        trace = np.tile([[1.0, 2.0]], (6, 1))
         assert np.array_equal(summarize_trace(trace, 2), [1.0, 2.0])
 
 
 class TestWriteTrace:
     def test_format_and_meta(self, tmp_path):
-        trace = OutputTrace(values=np.array([0.5, 1.5, 2.5]), dt=0.001)
+        trace = np.array([0.5, 1.5, 2.5])
         path = tmp_path / "trace.csv"
-        write_trace(path, trace, {"dnn_output": 1.25})
+        write_trace(path, trace, 0.001, {"dnn_output": 1.25})
         lines = path.read_text().splitlines()
         assert lines[0] == "# dnn_output=1.25"
         assert lines[1] == "tick,time_s,output_potential"
@@ -777,6 +777,6 @@ class TestWriteTrace:
         assert lines[4].split(",")[0] == "2"
 
     def test_vector_trace_rejected(self, tmp_path):
-        trace = OutputTrace(values=np.zeros((4, 2)), dt=0.001)
+        trace = np.zeros((4, 2))
         with pytest.raises(ValueError):
-            write_trace(tmp_path / "t.csv", trace)
+            write_trace(tmp_path / "t.csv", trace, 0.001)

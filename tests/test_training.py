@@ -26,7 +26,8 @@ from spikedrop.training import (
     loss_mse,
     train,
 )
-from strategies import dropout_networks, reference_softlif_rate_grad, single_tower, weights_equal
+from strategies import (copy_weights, dropout_networks, reference_softlif_rate_grad, single_tower,
+                        weights_equal)
 
 P = NeuronParams()
 
@@ -170,12 +171,14 @@ def reference_backward(spec, weights, cache, targets, params):
     preds = cache.output
     g = 2.0 * (preds - np.asarray(targets, dtype=float).reshape(preds.shape)) / preds.size
     grads = weights.zeros_like()
+    layers = [lay for _, _, lay, _ in spec.layer_instances()]
 
-    def layer(rec, g):
+    def layer(i, g):
+        rec = cache.records[i]
         w = weights.weights[rec.weight_key]
         if rec.scale is not None:
             g = g * rec.scale
-        if rec.layer.activation == "softlif":
+        if layers[i].activation == "softlif":
             current = rec.a_in @ w.T + weights.biases[rec.weight_key]
             g = g * reference_softlif_rate_grad(current, params)
         grads.weights[rec.weight_key] += g.T @ rec.a_in
@@ -183,14 +186,14 @@ def reference_backward(spec, weights, cache, targets, params):
         return g @ w
 
     n_tower = sum(len(enc.layers) for enc in spec.encoders)
-    for rec in reversed(cache.records[n_tower:]):
-        g = layer(rec, g)
+    for i in reversed(range(n_tower, len(layers))):
+        g = layer(i, g)
     start, first = 0, 0
     for enc in spec.encoders:
         width = spec.encoder_output_dim(enc)
         g_enc = g[:, start:start + width]
-        for rec in reversed(cache.records[first:first + len(enc.layers)]):
-            g_enc = layer(rec, g_enc)
+        for i in reversed(range(first, first + len(enc.layers))):
+            g_enc = layer(i, g_enc)
         start += width
         first += len(enc.layers)
     return grads
@@ -232,7 +235,7 @@ class TestAdam:
     def test_zero_gradient_leaves_weights_unchanged(self):
         spec = tiny_spec()
         weights = init_weights(spec, seed=3)
-        before = weights.copy()
+        before = copy_weights(weights)
         state = _AdamState(weights)
         state.step(weights, weights.zeros_like(), TrainConfig())
         assert weights_equal(weights, before)
