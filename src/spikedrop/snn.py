@@ -18,7 +18,9 @@ dropout scales; every draw starts from its own initial voltages, by one seed
 rule (``_initial_voltages``: draw k from ``v0_seed + k``). ``simulate`` is
 the one-draw case of the clock-driven core (``_simulate_block``) and returns
 the per-tick output potential as a plain array, which ``summarize_trace``
-and ``write_trace`` read. ``mcinfer.predictive_distribution`` asks ``_draw_means`` for each draw's
+and ``write_trace`` read.
+
+``mcinfer.predictive_distribution`` asks ``_draw_means`` for each draw's
 post-burn-in mean. When no SoftLIF layer lies downstream of another (SoftLIF
 towers and an affine head, say), every SoftLIF layer sees a constant current
 and everything after it is affine, so ``_draw_means`` takes the mean from
