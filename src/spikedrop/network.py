@@ -1,4 +1,4 @@
-"""Network architecture description, parameter storage, and the network traversal.
+"""Network architecture description, parameter storage, and the network pass.
 
 A network is a set of input slices feeding encoder towers whose outputs are
 concatenated into a head stack. Encoders carrying the same ``share_tag`` reuse
@@ -16,9 +16,10 @@ written once, in ``_draw_scales``; ``sample_masks`` is its one-seed case.
 ``convert`` is the one checked constructor of ``Model``, the record both
 backends run; it holds the caller's spec and weights uncopied.
 
-One private traversal (``_traverse``) walks the towers and the head for both
-backends: ``_forward`` runs it with the analog layer step, on rows that may
-each carry their own scales, and ``snn`` with the LIF layer step. ``forward``
+One private network pass (``_pass``) applies every layer for both backends;
+its caller supplies only the neuron of the SoftLIF layers. ``_forward``
+supplies the SoftLIF curve (``neuron._softlif``), on rows that may each
+carry their own scales, and ``snn`` the LIF neuron. ``forward``
 and training's minibatch pass ask ``_forward`` for layer records (each
 layer's input and ``neuron._softlif`` intermediates, from which
 ``training.backward`` builds the gradient); Monte-Carlo analog draws and
@@ -365,25 +366,6 @@ def _layer_scales(spec: NetworkSpec, masks: Optional[Mapping]) -> list:
     return out
 
 
-def _traverse(spec: NetworkSpec, inputs: list, step):
-    """Walk the network once: each encoder tower over its gathered input
-    (``inputs[e]``, from _gather_slices), the concatenated tower outputs,
-    then the head. ``step(i, a)`` evaluates layer instance ``i`` (in
-    layer_instances order) on input ``a`` and returns its output."""
-    i = 0
-    outs = []
-    for enc, a in zip(spec.encoders, inputs):
-        for _ in enc.layers:
-            a = step(i, a)
-            i += 1
-        outs.append(a)
-    a = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
-    for _ in spec.head:
-        a = step(i, a)
-        i += 1
-    return a
-
-
 def forward(spec: NetworkSpec, weights: WeightStore, input,
             masks: Optional[Mapping] = None,
             params: NeuronParams = NeuronParams()):
@@ -415,21 +397,45 @@ def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
     (n, out_dim), one per row. Given a ``records`` list, appends one
     LayerRecord per layer instance for backprop; passes that never
     backpropagate leave it None and keep no per-layer arrays alive."""
-    instances = list(spec.layer_instances())
+    return _pass(spec, weights, scales, lambda i, current: _softlif(current, params),
+                 records)(_gather_inputs(spec, rows))
 
-    def step(i, a):
-        _, wkey, layer, _ = instances[i]
-        act = a @ weights.weights[wkey].T + weights.biases[wkey]
-        parts = None
-        if layer.activation == "softlif":
-            act, parts = _softlif(act, params)
-        if scales[i] is not None:
-            act = act * scales[i]
-        if records is not None:
-            records.append(LayerRecord(wkey, a, parts, scales[i]))
-        return act
 
-    return _traverse(spec, [_gather_slices(spec, enc, rows) for enc in spec.encoders], step)
+def _gather_inputs(spec: NetworkSpec, rows: np.ndarray) -> list:
+    """Each encoder's gathered input (``_gather_slices``), in encoder order."""
+    return [_gather_slices(spec, enc, rows) for enc in spec.encoders]
+
+
+def _pass(spec: NetworkSpec, weights: WeightStore, scales: list, rate,
+          records: Optional[list] = None):
+    """The one place a layer is applied, set up once: returns ``run(inputs)``,
+    which walks each tower over its input from ``_gather_inputs``, then the
+    head. Layer instance ``i`` is its affine map, then on a SoftLIF layer
+    ``rate(i, current)`` (the output and its ``_softlif`` parts or None),
+    then its dropout scale ``scales[i]``. Given a ``records`` list, ``run``
+    appends one LayerRecord per layer instance."""
+    layers = [(wkey, weights.weights[wkey], weights.biases[wkey], layer.activation == "softlif")
+              for _, wkey, layer, _ in spec.layer_instances()]
+    bounds = list(accumulate((len(enc.layers) for enc in spec.encoders), initial=0))
+
+    def walk(a, lo, hi):
+        for i in range(lo, hi):
+            wkey, w, b, softlif = layers[i]
+            out = a @ w.T + b
+            out, parts = rate(i, out) if softlif else (out, None)
+            if scales[i] is not None:
+                out = out * scales[i]
+            if records is not None:
+                records.append(LayerRecord(wkey, a, parts, scales[i]))
+            a = out
+        return a
+
+    def run(inputs):
+        outs = [walk(a, lo, hi) for a, lo, hi in zip(inputs, bounds, bounds[1:])]
+        return walk(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1),
+                    bounds[-1], len(layers))
+
+    return run
 
 
 def combo_spec(cell_dim: int, drug_dim: int, cell_hidden: int = 16,

@@ -20,7 +20,9 @@ backward pass never evaluates an ``exp`` or ``log1p`` again. The public
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +42,7 @@ class NeuronParams:
     gamma: float = 0.02
 
     def __post_init__(self):
+        _check_fields(self)
         if self.tau_ref < 0:
             raise ValueError("tau_ref must be >= 0")
         if self.tau_rc <= 0:
@@ -48,6 +51,19 @@ class NeuronParams:
             raise ValueError("v_th must be > 0")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
+
+
+def _check_fields(config) -> None:
+    """Refuse a value of the wrong kind in a config dataclass: a float field
+    must be finite, and an int field (a count or a seed) an integer that is
+    not a bool."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", int):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        elif not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _as_array(x):

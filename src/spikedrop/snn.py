@@ -2,15 +2,16 @@
 
 The network simulated is a ``network.Model``, the analog model itself: the
 same structure, weights and neuron constants, checked by ``network.convert``
-and never copied. Each tick walks the network with the same traversal as the
-analog forward pass (``network._traverse``), with a LIF step in place of the
-rate curve. Inputs are held as constant injected currents into the first
-weight layer. Each spike deposits an impulse of height 1/dt into the emitting
-neuron's synaptic lowpass filter, so the filtered signal is in Hz and
-directly comparable to the analog activations. As in ``forward``, each
-layer's output is multiplied by its dropout scale; ``dt <= tau_syn`` keeps
-every filter non-negative, so a dropped neuron contributes exactly ``+0.0``
-downstream.
+and never copied. Each tick runs the analog forward pass's own network pass
+(``network._pass``), set up once per block of draws, with the LIF neuron in
+place of the rate curve: this module supplies only the neuron, its synaptic
+filter and their state, and applies no weight itself. Inputs are held as
+constant injected currents into the first weight layer. Each spike deposits
+an impulse of height 1/dt into the emitting neuron's synaptic lowpass filter,
+so the filtered signal is in Hz and directly comparable to the analog
+activations. As in ``forward``, each layer's output is multiplied by its
+dropout scale; ``dt <= tau_syn`` keeps every filter non-negative, so a
+dropped neuron contributes exactly ``+0.0`` downstream.
 
 The Monte-Carlo draws of one observation are evaluated together, each
 layer's state held as a (draws, width) array, one row per draw and its
@@ -43,9 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import (InvalidNetworkError, Model, _gather_slices, _layer_scales,
-                      _stream_uniforms, _traverse)
-from .neuron import NeuronParams, lif_step_arrays
+from .network import (InvalidNetworkError, Model, _gather_inputs, _layer_scales, _pass,
+                      _stream_uniforms)
+from .neuron import NeuronParams, _check_fields, lif_step_arrays
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ class SimConfig:
     v0_seed: int = 1
 
     def __post_init__(self):
+        _check_fields(self)
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.n_steps < 1:
@@ -103,10 +105,10 @@ def _draw_means(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
     When every path from input to output crosses at most one SoftLIF layer,
     each SoftLIF layer sees a current that is constant from tick to tick and
     everything after it is affine, so the time mean passes through to the
-    spiking layers. One traversal collects every SoftLIF layer's current (no
-    SoftLIF layer feeds another, so none depends on a spiking output), one
-    ``_spike_train`` call times the spikes of all their neurons at once, and
-    a second traversal carries each neuron's exact mean filtered rate
+    spiking layers. One network pass collects every SoftLIF layer's current
+    (no SoftLIF layer feeds another, so none depends on a spiking output),
+    one ``_spike_train`` call times the spikes of all their neurons at once,
+    and a second pass carries each neuron's exact mean filtered rate
     (``_mean_rate``, ``_tail_means``) to the output. It agrees with the tail
     mean of ``_simulate_block`` to 1e-12, the sums being taken in another
     order. Other networks are stepped tick by tick and each draw's tail
@@ -118,25 +120,24 @@ def _draw_means(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
         return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
 
     p = net.neuron_params
-    inputs = _draw_inputs(spec, input, n)
+    inputs = _gather_inputs(spec, np.broadcast_to(input, (n, input.size)))
     currents = {}
 
     def collect(i, current):
         currents[i] = current
-        return np.zeros_like(current)  # a placeholder: only affine layers take it in
+        return np.zeros_like(current), None  # a placeholder: only affine layers take it in
 
-    _traverse(spec, inputs, _layer_step(net, scales, collect))
+    _pass(spec, net.weights, scales, collect)(inputs)
     v0 = _initial_voltages(spec, p, sim, first_draw, n)
-    t0, k = _spike_train(_concat_flat(currents), _concat_flat(v0), sim, p)
-    means = np.split(_mean_rate(t0, k, _tail_means(sim)),
-                     np.cumsum([c.size for c in currents.values()], dtype=int)[:-1])
-    rates = {i: m.reshape(c.shape) for (i, c), m in zip(currents.items(), means)}
-    return _traverse(spec, inputs, _layer_step(net, scales, lambda i, _: rates[i]))[:, 0]
-
-
-def _concat_flat(blocks: dict) -> np.ndarray:
-    """The arrays of ``blocks`` raveled and laid end to end, in key order."""
-    return np.concatenate([np.empty(0), *(b.ravel() for b in blocks.values())])
+    # one (n, total SoftLIF width) block: _spike_train and _mean_rate act on
+    # each neuron alone; the empty block keeps a spec without SoftLIF layers
+    empty = np.empty((n, 0))
+    t0, k = _spike_train(np.hstack([empty, *currents.values()]),
+                         np.hstack([empty, *v0.values()]), sim, p)
+    means = np.hsplit(_mean_rate(t0, k, _tail_means(sim)),
+                      np.cumsum([c.shape[1] for c in currents.values()], dtype=int)[:-1])
+    rates = dict(zip(currents, means))
+    return _pass(spec, net.weights, scales, lambda i, _: (rates[i], None))(inputs)[:, 0]
 
 
 def _one_spiking_layer_per_path(spec) -> bool:
@@ -173,31 +174,6 @@ def _v0_uniforms(first_seed: int, n: int, widths: tuple) -> tuple:
     for u in blocks:
         u.flags.writeable = False
     return blocks
-
-
-def _draw_inputs(spec, input: np.ndarray, n: int) -> list:
-    """Each encoder's gathered input, the same for all ``n`` draws."""
-    rows = np.broadcast_to(input, (n, input.size))
-    return [_gather_slices(spec, enc, rows) for enc in spec.encoders]
-
-
-def _layer_step(net: Model, scales: list, spiking):
-    """The layer step of a traversal over the draws: layer i's affine map,
-    then ``spiking(i, current)`` if it is a SoftLIF layer, then its dropout
-    scale."""
-    instances = list(net.spec.layer_instances())
-    w = [net.weights.weights[wkey] for _, wkey, _, _ in instances]
-    b = [net.weights.biases[wkey] for _, wkey, _, _ in instances]
-
-    def step(i, a):
-        out = a @ w[i].T + b[i]
-        if instances[i][2].activation == "softlif":
-            out = spiking(i, out)
-        if scales[i] is not None:
-            out = out * scales[i]
-        return out
-
-    return step
 
 
 def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronParams):
@@ -246,19 +222,16 @@ def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronP
 
 def _tail_means(sim: SimConfig) -> np.ndarray:
     """``G[s]``: the post-burn-in mean of the synaptic filter's response to
-    one 1/dt impulse at tick s, by the clock-driven recursion (the bare
-    impulse when ``tau_syn`` is 0); ``G[n_steps]`` is 0, for spikes that
-    never come."""
+    one 1/dt impulse at tick s, by the clock-driven recursion (a step of 1
+    when ``tau_syn`` is 0, which passes the bare impulse); ``G[n_steps]`` is
+    0, for spikes that never come."""
     n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
     response = np.zeros(n)  # filter output u ticks after the impulse
-    if sim.tau_syn > 0:
-        alpha = dt / sim.tau_syn
-        syn = 0.0
-        for u in range(n):
-            syn = syn + alpha * ((1.0 / dt if u == 0 else 0.0) - syn)
-            response[u] = syn
-    else:
-        response[0] = 1.0 / dt
+    alpha = dt / sim.tau_syn if sim.tau_syn > 0 else 1.0
+    syn = 0.0
+    for u in range(n):
+        syn = syn + alpha * ((1.0 / dt if u == 0 else 0.0) - syn)
+        response[u] = syn
     # the tail holds ticks burn_in .. n - 1, i.e. response[burn_in - s .. n - 1 - s]
     csum = np.concatenate([[0.0], np.cumsum(response)])
     s = np.arange(n)
@@ -299,20 +272,20 @@ def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
     syn = {i: np.zeros_like(v[i]) for i in v}
 
     dt = sim.dt
-    alpha = dt / sim.tau_syn if sim.tau_syn > 0 else None
+    # no filter: step 1 passes spiked / dt exactly, syn being 0 or 1/dt
+    alpha = dt / sim.tau_syn if sim.tau_syn > 0 else 1.0
 
     def lif(i, current):
         v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
-        impulse = spiked / dt
-        syn[i] = impulse if alpha is None else syn[i] + alpha * (impulse - syn[i])
-        return syn[i]
+        syn[i] = syn[i] + alpha * (spiked / dt - syn[i])
+        return syn[i], None
 
-    step = _layer_step(net, scales, lif)
+    run = _pass(spec, net.weights, scales, lif)
     # every draw sees the same input; gathered once, not per tick
-    inputs = _draw_inputs(spec, input, n)
+    inputs = _gather_inputs(spec, np.broadcast_to(input, (n, input.size)))
     traces = np.empty((n, sim.n_steps, spec.output_dim))
     for t in range(sim.n_steps):
-        traces[:, t] = _traverse(spec, inputs, step)
+        traces[:, t] = run(inputs)
 
     if not np.isfinite(traces).all():
         raise FloatingPointError("non-finite output potential in trace")

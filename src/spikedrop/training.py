@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuron import NeuronParams, _softlif_grad
+from .neuron import NeuronParams, _check_fields, _softlif_grad
 from .network import (
     ForwardCache,
     InvalidNetworkError,
@@ -47,6 +47,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

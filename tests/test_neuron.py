@@ -40,9 +40,13 @@ class TestNeuronParams:
         dict(v_th=0.0),
         dict(gamma=0.0),
         dict(gamma=-1.0),
+        dict(tau_rc=float("inf")),
+        dict(v_th=float("nan")),
+        dict(tau_ref=float("inf")),
+        dict(gamma=float("inf")),
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             NeuronParams(**kwargs)
 
 

@@ -83,9 +83,16 @@ class TestSimConfig:
         dict(tau_syn=-0.001),
         dict(dt=0.01, tau_syn=0.005),  # filter gain dt/tau_syn = 2 never decays
         dict(dt=0.01, tau_syn=0.002),  # gain 5 diverges
+        dict(dt=float("nan")),
+        dict(dt=float("inf"), tau_syn=0.0),
+        dict(tau_syn=float("inf")),
+        dict(tau_syn=float("nan")),
+        dict(n_steps=350.0),
+        dict(burn_in_steps=True),
+        dict(v0_seed=1.5),
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SimConfig(**kwargs)
 
     def test_filter_rule_boundaries_accepted(self):
@@ -124,11 +131,19 @@ class TestSimulate:
             assert measured == pytest.approx(lif_rate(current, P), rel=0.02)
 
     def test_unfiltered_spikes_average_to_rate(self):
-        # tau_syn = 0 passes raw impulses through; their mean is still the rate
+        # tau_syn = 0 passes raw impulses through: tick t is spiked / dt of a
+        # lif_step_arrays replay from the same start voltage, bit for bit,
+        # and their mean is still the rate
         net = one_neuron_net(weight=1.0)
         sim = SimConfig(dt=1e-3, n_steps=5000, burn_in_steps=0, tau_syn=0.0)
         trace = simulate(net, np.array([2.0]), None, sim)
-        assert set(np.unique(trace)) <= {0.0, 1.0 / sim.dt}
+        v = snn._initial_voltages(net.spec, P, sim, 0, 1)[0][0]
+        refr = np.zeros(1)
+        want = np.empty(sim.n_steps)
+        for t in range(sim.n_steps):
+            v, refr, spiked = lif_step_arrays(v, refr, np.array([2.0]), sim.dt, P)
+            want[t] = spiked[0] / sim.dt
+        assert np.array_equal(trace, want)
         assert np.mean(trace) == pytest.approx(lif_rate(2.0, P), rel=0.02)
 
     def test_linear_network_reproduces_affine_map_every_tick(self):
@@ -360,7 +375,7 @@ class TestSimulate:
         masks = sample_masks(spec, 12)
         sim = SimConfig(n_steps=120, burn_in_steps=20)
         got = simulate(model, x, masks, sim)
-        want = simulate(convert(model.spec, model.weights, model.neuron_params), x, masks, sim)
+        want = simulate(convert(spec, w, P), x, masks, sim)
         assert got.tobytes() == want.tobytes()
 
     def test_input_dimension_checked(self):
@@ -553,6 +568,28 @@ class TestSpikeTrain:
         assert (t0 == 200).all()
         assert stepped == []
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), tau_ref=st.sampled_from([0.0, 0.002, 0.02]),
+           n_steps=st.sampled_from([1, 40, 400]))
+    def test_neuron_order_does_not_matter(self, data, tau_ref, n_steps):
+        # _draw_means lays the SoftLIF layers of a block side by side, so a
+        # neuron's ticks must not depend on its position or its neighbours
+        p = NeuronParams(tau_ref=tau_ref)
+        sim = SimConfig(n_steps=n_steps, burn_in_steps=0)
+        shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
+        size = shape[0] * shape[1]
+        current = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from([-1.0, 0.3, ONE_ULP_BELOW, 1.0, ONE_ULP_ABOVE, 1.0000001, 2.0]),
+            st.floats(0.0, 40.0)), min_size=size, max_size=size))).reshape(shape)
+        v0 = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, 0.5, ONE_ULP_BELOW]),
+            st.floats(0.0, 1.0, exclude_max=True)), min_size=size, max_size=size))).reshape(shape)
+        perm = np.array(data.draw(st.permutations(range(size))))
+        t0, k = snn._spike_train(current, v0, sim, p)
+        got = snn._spike_train(current.ravel()[perm].reshape(shape),
+                               v0.ravel()[perm].reshape(shape), sim, p)
+        assert np.array_equal(got[0], t0.ravel()[perm].reshape(shape))
+        assert np.array_equal(got[1], k.ravel()[perm].reshape(shape))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), tau_ref=st.sampled_from([0.0, 0.002, 0.02]),

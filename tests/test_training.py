@@ -241,12 +241,11 @@ class TestAdam:
         assert weights_equal(weights, before)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for kwargs in [dict(epochs=0), dict(batch_size=0), dict(learning_rate=0.0),
+                       dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+                       dict(epochs=2.5), dict(batch_size=True), dict(seed=1.0)]:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                TrainConfig(**kwargs)
 
 
 class TestTrain:
