@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -38,21 +37,6 @@ _POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _KEEP_PROB = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
-
-
-def _neuron_params_from_dict(d) -> NeuronParams:
-    """Neuron constants from a config file; an omitted field keeps its default."""
-    d = d or {}
-    network._check_neuron_fields(d)
-    return NeuronParams(**{key: network._json_number(d, key) for key in d})
-
-
-def _load_network_config(path):
-    with open(path, "r", encoding="utf-8") as f, network._naming_file(path):
-        doc = json.load(f)
-        spec = network.spec_from_dict(doc["spec"])
-        network.validate(spec)
-        return spec, _neuron_params_from_dict(doc.get("neuron_params"))
 
 
 def _sim_from_args(args) -> snn.SimConfig:
@@ -89,19 +73,13 @@ def cmd_init_spec(args) -> int:
                               keep_prob=args.keep_prob)
     params = NeuronParams(tau_ref=args.tau_ref, tau_rc=args.tau_rc,
                           v_th=args.v_th, gamma=args.gamma)
-    doc = {
-        "spec": network.spec_to_dict(spec),
-        "neuron_params": asdict(params),
-    }
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    network.save_config(args.out, spec, params)
     print(f"wrote network config to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    spec, params = _load_network_config(args.spec)
+    spec, params = network.load_config(args.spec)
     dataset = data_mod.load_csv(args.data, target_column=args.target)
     if dataset.n_features != spec.input_dim:
         raise ValueError(f"{args.data} has {dataset.n_features} features, "

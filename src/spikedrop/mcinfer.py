@@ -57,6 +57,8 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
+    if base_seed < 0:
+        raise ValueError("base_seed must be >= 0")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if spec.output_dim != 1:

@@ -1,4 +1,5 @@
-"""Network architecture description, parameter storage, and the network pass.
+"""Network architecture description, parameter storage, the network pass, and
+the JSON documents that hold a network.
 
 A network is a set of input slices feeding encoder towers whose outputs are
 concatenated into a head stack. Encoders carrying the same ``share_tag`` reuse
@@ -25,6 +26,12 @@ layer's input and ``neuron._softlif`` intermediates, from which
 ``training.backward`` builds the gradient); Monte-Carlo analog draws and
 training's epoch-end losses call ``_forward`` without a record list and keep
 none.
+
+Both documents are read and written here, and nowhere else: the model file
+(``save_model``, ``load_model``) and the network config (``save_config``,
+``load_config``), which share the ``spec`` and ``neuron_params`` sections.
+Every field is read by ``_json``, which names the field and its kind when
+it refuses one.
 """
 
 from __future__ import annotations
@@ -471,7 +478,7 @@ def combo_spec(cell_dim: int, drug_dim: int, cell_hidden: int = 16,
     )
 
 
-# --- model file (JSON) ------------------------------------------------------
+# --- documents (JSON): the model file and the network config -----------------
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
     return {
@@ -483,40 +490,24 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
     }
 
 
-def _json_int(d: dict, key: str) -> int:
-    """``d[key]``, refused unless it is a JSON integer (not a float, a string
-    or a bool)."""
+_KINDS = {  # each kind of JSON value _json reads; a number is finite, as a float
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                           and abs(v) <= sys.float_info.max),
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+}
+
+
+def _json(d: dict, key: str, kind: str):
+    """``d[key]``, refused unless it is ``kind`` (a key of ``_KINDS``), as in
+    "in_dim must be an integer, got 8.7"; a number comes back as a float."""
     value = d[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(d: dict, key: str) -> str:
-    """``d[key]``, refused unless it is a JSON string."""
-    value = d[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _json_strings(d: dict, key: str) -> list:
-    """``d[key]``, refused unless it is a JSON list of strings."""
-    value = d[key]
-    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
-        raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    return list(value)
-
-
-def _json_number(d: dict, key: str) -> float:
-    """``d[key]`` as a float, refused unless it is a finite JSON number (an
-    integer or a float, not a string, a bool, NaN, an infinity or an integer
-    beyond the float range)."""
-    value = d[key]
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (is_number and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    if not _KINDS[kind](value):
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return float(value) if kind == "a number" else value
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
@@ -526,14 +517,14 @@ def _layer_from_dict(d: dict) -> LayerSpec:
             "share a tower through the encoder share_tag"
         )
     return LayerSpec(
-        in_dim=_json_int(d, "in_dim"),
-        out_dim=_json_int(d, "out_dim"),
+        in_dim=_json(d, "in_dim", "an integer"),
+        out_dim=_json(d, "out_dim", "an integer"),
         activation=d["activation"],
-        keep_prob=_json_number(d, "keep_prob"),
+        keep_prob=_json(d, "keep_prob", "a number"),
     )
 
 
-def spec_to_dict(spec: NetworkSpec) -> dict:
+def _spec_to_dict(spec: NetworkSpec) -> dict:
     return {
         "input_slices": [
             {"name": name, "offset": offset, "length": length}
@@ -552,20 +543,21 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     }
 
 
-def spec_from_dict(d: dict) -> NetworkSpec:
+def _spec_from_dict(d: dict) -> NetworkSpec:
     return NetworkSpec(
-        input_slices=[(_json_str(s, "name"), _json_int(s, "offset"), _json_int(s, "length"))
-                      for s in d["input_slices"]],
+        input_slices=[(_json(s, "name", "a string"), _json(s, "offset", "an integer"),
+                       _json(s, "length", "an integer"))
+                      for s in _json(d, "input_slices", "a list of objects")],
         encoders=[
             EncoderSpec(
-                slices=_json_strings(e, "slices"),
-                layers=[_layer_from_dict(l) for l in e["layers"]],
+                slices=_json(e, "slices", "a list of strings"),
+                layers=[_layer_from_dict(l) for l in _json(e, "layers", "a list of objects")],
                 share_tag=e.get("share_tag"),
             )
-            for e in d["encoders"]
+            for e in _json(d, "encoders", "a list of objects")
         ],
-        head=[_layer_from_dict(l) for l in d["head"]],
-        output_dim=_json_int(d, "output_dim"),
+        head=[_layer_from_dict(l) for l in _json(d, "head", "a list of objects")],
+        output_dim=_json(d, "output_dim", "an integer"),
     )
 
 
@@ -588,18 +580,23 @@ def convert(spec: NetworkSpec, weights: WeightStore, params: NeuronParams) -> Mo
     return Model(spec, weights, params)
 
 
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
 def save_model(path, spec: NetworkSpec, weights: WeightStore,
                neuron_params: NeuronParams) -> None:
     """Write a model file. Floats are serialized with shortest round-trip
     precision, so load(save(x)) reproduces every value exactly."""
-    validate(spec)
-    validate_weights(spec, weights)
-    doc = {
+    convert(spec, weights, neuron_params)
+    _write_json(path, {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "analog",
         "neuron_params": asdict(neuron_params),
-        "spec": spec_to_dict(spec),
+        "spec": _spec_to_dict(spec),
         "weights": {
             key: {
                 "weight": weights.weights[key].tolist(),
@@ -607,17 +604,16 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
             }
             for key in sorted(weights.weights)
         },
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    })
 
 
-def _check_neuron_fields(d: dict) -> None:
-    """Refuse a neuron_params field that NeuronParams does not have."""
+def _neuron_params(d: dict, names) -> NeuronParams:
+    """NeuronParams from a neuron_params object: the fields ``names`` read as
+    numbers, the others at their defaults; an unknown field is refused."""
     unknown = set(d) - {f.name for f in fields(NeuronParams)}
     if unknown:
         raise ValueError(f"unknown neuron_params field {min(unknown)!r}")
+    return NeuronParams(**{name: _json(d, name, "a number") for name in names})
 
 
 @contextmanager
@@ -639,19 +635,40 @@ def load_model(path) -> Model:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InvalidNetworkError(f"not a {MODEL_FORMAT} file: {path}")
     with _naming_file(path):
-        version = _json_int(doc, "format_version") if "format_version" in doc else None
+        version = _json(doc, "format_version", "an integer") if "format_version" in doc else None
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r} "
                              f"(this reader supports {MODEL_FORMAT_VERSION})")
         if doc["kind"] != "analog":
             raise ValueError(f"unknown model kind {doc['kind']!r}")
-        spec = spec_from_dict(doc["spec"])
-        np_doc = doc["neuron_params"]
-        _check_neuron_fields(np_doc)
-        params = NeuronParams(**{f.name: _json_number(np_doc, f.name)
-                                 for f in fields(NeuronParams)})
+        spec = _spec_from_dict(_json(doc, "spec", "an object"))
+        params = _neuron_params(_json(doc, "neuron_params", "an object"),
+                                [f.name for f in fields(NeuronParams)])
+        entries = _json(doc, "weights", "an object")
+        entries = {k: _json(entries, k, "an object") for k in entries}
         weights = WeightStore(
-            {k: np.array(v["weight"], dtype=float) for k, v in doc["weights"].items()},
-            {k: np.array(v["bias"], dtype=float) for k, v in doc["weights"].items()},
+            {k: np.array(v["weight"], dtype=float) for k, v in entries.items()},
+            {k: np.array(v["bias"], dtype=float) for k, v in entries.items()},
         )
         return convert(spec, weights, params)
+
+
+def save_config(path, spec: NetworkSpec, params: NeuronParams) -> None:
+    """Write a network config: the architecture and neuron constants that
+    ``load_config`` reads back and ``train`` starts from."""
+    _write_json(path, {"spec": _spec_to_dict(spec), "neuron_params": asdict(params)})
+
+
+def load_config(path) -> tuple:
+    """Read a network config: ``(spec, params)``. An omitted neuron constant,
+    or a missing or null neuron_params, keeps its default. Any defect is an
+    InvalidNetworkError naming the file."""
+    with open(path, "r", encoding="utf-8") as f, _naming_file(path):
+        doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"network config must be an object, got {doc!r}")
+        spec = _spec_from_dict(_json(doc, "spec", "an object"))
+        validate(spec)
+        constants = doc.get("neuron_params")
+        constants = {} if constants is None else _json(doc, "neuron_params", "an object")
+        return spec, _neuron_params(constants, constants)

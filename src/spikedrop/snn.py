@@ -32,9 +32,10 @@ each neuron is stepped to its first spike, and the fixed period after it
 from one replay per distinct current. Other networks are stepped tick by
 tick.
 
-One value is cached, read-only and bounded: the v0 uniforms of a block of
-draws (``_v0_uniforms``, one block per SoftLIF layer, keyed by first seed,
-block size and layer widths), which every observation of a run shares.
+Two values are cached, read-only and bounded, and every observation of a
+run shares them: the v0 uniforms of a block of draws (``_v0_uniforms``, one
+block per SoftLIF layer, keyed by first seed, block size and layer widths)
+and the filter's tail means (``_tail_means``, keyed by the ``SimConfig``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class SimConfig:
             raise ValueError("tau_syn must be >= 0")
         if 0 < self.tau_syn < self.dt:
             raise ValueError(f"dt ({self.dt}) must not exceed tau_syn ({self.tau_syn})")
+        if self.v0_seed < 0:
+            raise ValueError("v0_seed must be >= 0")
 
 
 def simulate(net: Model, input, masks, sim: SimConfig) -> np.ndarray:
@@ -220,11 +223,13 @@ def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronP
     return t0.reshape(current.shape), k.reshape(current.shape)
 
 
+@lru_cache(maxsize=8)
 def _tail_means(sim: SimConfig) -> np.ndarray:
     """``G[s]``: the post-burn-in mean of the synaptic filter's response to
     one 1/dt impulse at tick s, by the clock-driven recursion (a step of 1
     when ``tau_syn`` is 0, which passes the bare impulse); ``G[n_steps]`` is
-    0, for spikes that never come."""
+    0, for spikes that never come. Read-only: every block of draws of a run
+    shares one table."""
     n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
     response = np.zeros(n)  # filter output u ticks after the impulse
     alpha = dt / sim.tau_syn if sim.tau_syn > 0 else 1.0
@@ -237,6 +242,7 @@ def _tail_means(sim: SimConfig) -> np.ndarray:
     s = np.arange(n)
     out = np.zeros(n + 1)
     out[:n] = (csum[n - s] - csum[np.maximum(burn_in - s, 0)]) / (n - burn_in)
+    out.flags.writeable = False
     return out
 
 

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def loss_mse(predictions, targets) -> float:

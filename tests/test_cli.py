@@ -7,7 +7,7 @@ from spikedrop.cli import main
 from spikedrop.data import load_csv
 from spikedrop.mcinfer import read_samples
 from spikedrop.network import (LayerSpec, combo_spec, init_weights, load_model, sample_masks,
-                               save_model)
+                               save_config, save_model)
 from spikedrop.neuron import NeuronParams
 from spikedrop.snn import SimConfig, simulate, summarize_trace
 
@@ -27,6 +27,15 @@ def workspace(tmp_path_factory):
     assert main(["train", "--spec", str(config), "--data", str(data),
                  "--out", str(model), "--epochs", "3", "--seed", "0"]) == 0
     return root, data, config, model
+
+
+# a valid spec, as a network config holds it: one linear layer on one input
+ONE_LAYER_SPEC = json.dumps({
+    "input_slices": [{"name": "x", "offset": 0, "length": 1}],
+    "encoders": [{"slices": ["x"], "layers": []}],
+    "head": [{"in_dim": 1, "out_dim": 1, "activation": "linear", "keep_prob": 1.0}],
+    "output_dim": 1,
+})
 
 
 class TestSynth:
@@ -50,6 +59,15 @@ class TestInitSpec:
         doc = json.loads(config.read_text())
         assert "spec" in doc and "neuron_params" in doc
         assert doc["spec"]["output_dim"] == 1
+
+    def test_bytes_equal_save_config(self, tmp_path):
+        out = tmp_path / "cli.json"
+        assert main(["init-spec", "--head-hidden", "0", "--keep-prob", "0.7", "--tau-ref",
+                     "0.02", "--gamma", "0.002", "--out", str(out)]) == 0
+        lib = tmp_path / "lib.json"
+        save_config(lib, combo_spec(8, 8, head_hidden=0, keep_prob=0.7),
+                    NeuronParams(tau_ref=0.02, gamma=0.002))
+        assert out.read_bytes() == lib.read_bytes()
 
 
 class TestTrain:
@@ -100,7 +118,18 @@ class TestTrain:
     @pytest.mark.parametrize("text, message", [
         ('{"neuron_params": {}}', "missing field 'spec'"),
         ("spec", "Expecting value"),
-    ], ids=["no-spec", "not-json"])
+        ('{"spec": %s, "neuron_params": []}' % ONE_LAYER_SPEC,
+         "neuron_params must be an object, got []"),
+        ('{"spec": %s, "neuron_params": "tau"}' % ONE_LAYER_SPEC,
+         "neuron_params must be an object, got 'tau'"),
+        ('{"spec": []}', "spec must be an object, got []"),
+        ('{"spec": {"input_slices": [], "encoders": {"a": 1}}}',
+         "encoders must be a list of objects, got {'a': 1}"),
+        ('{"spec": {"input_slices": [], "encoders": [{"slices": [], "layers": {"x": 1}}]}}',
+         "layers must be a list of objects, got {'x': 1}"),
+        ("[]", "network config must be an object, got []"),
+    ], ids=["no-spec", "not-json", "neuron_params-list", "neuron_params-string", "spec-list",
+            "encoders-object", "layers-object", "top-level-list"])
     def test_malformed_config_names_file(self, tmp_path, workspace, capsys, text, message):
         _, data, _, _ = workspace
         config = tmp_path / "config.json"

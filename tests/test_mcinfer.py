@@ -143,6 +143,8 @@ class TestPredictiveDistribution:
             predictive_distribution(spec, weights, P, obs, 0, 0, "analog")
         with pytest.raises(ValueError):
             predictive_distribution(spec, weights, P, obs, 5, 0, "quantum")
+        with pytest.raises(ValueError, match="base_seed"):
+            predictive_distribution(spec, weights, P, obs, 5, -3, "analog")
 
     @pytest.mark.parametrize("backend", ["analog", "spiking"])
     def test_rejects_wrong_observation_width(self, backend):

@@ -18,8 +18,10 @@ from spikedrop.network import (
     combo_spec,
     forward,
     init_weights,
+    load_config,
     load_model,
     sample_masks,
+    save_config,
     save_model,
     validate,
 )
@@ -27,6 +29,9 @@ from spikedrop.neuron import NeuronParams
 from strategies import copy_weights, dropout_networks, single_tower, weights_equal
 
 P = NeuronParams()
+ANY_NEURON_PARAMS = st.builds(NeuronParams, tau_ref=st.floats(0.0, 1.0),
+                              tau_rc=st.floats(1e-300, 10.0), v_th=st.floats(1e-300, 1e300),
+                              gamma=st.floats(5e-324, 1e300))
 
 
 def minimal_spec(keep_prob=1.0):
@@ -391,11 +396,7 @@ class TestModelFile:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=dropout_networks(activation="softlif"), data=st.data(),
-           params=st.builds(NeuronParams,
-                            tau_ref=st.floats(0.0, 1.0),
-                            tau_rc=st.floats(1e-300, 10.0),
-                            v_th=st.floats(1e-300, 1e300),
-                            gamma=st.floats(5e-324, 1e300)))
+           params=ANY_NEURON_PARAMS)
     def test_round_trip_reproduces_every_bit(self, spec, data, params):
         weights = init_weights(spec, seed=0)
         finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -487,13 +488,26 @@ class TestModelFile:
          "name must be a string, got 0"),
         (lambda doc: doc["spec"]["encoders"][0].update(slices=[0]),
          r"slices must be a list of strings, got \[0\]"),
+        (lambda doc: doc.update(neuron_params=[]), r"neuron_params must be an object, got \[\]"),
+        (lambda doc: doc.update(neuron_params="tau"),
+         "neuron_params must be an object, got 'tau'"),
+        (lambda doc: doc.update(spec=[]), r"spec must be an object, got \[\]"),
+        (lambda doc: doc["spec"].update(encoders={"a": 1}),
+         "encoders must be a list of objects, got {'a': 1}"),
+        (lambda doc: doc["spec"]["encoders"][0].update(layers={"x": 1}),
+         "layers must be a list of objects, got {'x': 1}"),
+        (lambda doc: doc.update(weights=[]), r"weights must be an object, got \[\]"),
+        (lambda doc: doc["weights"].update({"head:0": [1]}),
+         r"head:0 must be an object, got \[1\]"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
             "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma",
             "unused-weights", "neuron-field-typo", "in_dim-float", "out_dim-string",
             "offset-float", "length-float", "output_dim-bool", "keep_prob-bool",
             "keep_prob-string", "v_th-string", "tau_rc-nan", "gamma-huge-int",
             "version-bool", "version-float", "share_tag-empty", "share_tag-int",
-            "slices-string", "slice-name-int", "slices-int"])
+            "slices-string", "slice-name-int", "slices-int", "neuron_params-list",
+            "neuron_params-string", "spec-list", "encoders-object", "layers-object",
+            "weights-list", "weight-entry-list"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())
@@ -512,3 +526,22 @@ class TestModelFile:
         layers = [l for e in doc["spec"]["encoders"] for l in e["layers"]] + doc["spec"]["head"]
         assert all("share_tag" in l and l["share_tag"] is None for l in layers)
         assert [e["share_tag"] for e in doc["spec"]["encoders"]] == [None, "drug", "drug"]
+
+
+class TestNetworkConfig:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=st.one_of(dropout_networks(), dropout_networks(activation="softlif")),
+           params=ANY_NEURON_PARAMS)
+    def test_round_trip(self, spec, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            save_config(path, spec, params)
+            assert load_config(path) == (spec, params)
+
+    @pytest.mark.parametrize("doc", [{}, {"neuron_params": None}, {"neuron_params": {}}],
+                             ids=["missing", "null", "empty"])
+    def test_absent_neuron_constants_take_the_defaults(self, tmp_path, doc):
+        path = tmp_path / "config.json"
+        save_config(path, minimal_spec(), NeuronParams(tau_ref=0.5))
+        path.write_text(json.dumps({**doc, "spec": json.loads(path.read_text())["spec"]}))
+        assert load_config(path) == (minimal_spec(), NeuronParams())

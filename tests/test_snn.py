@@ -90,6 +90,7 @@ class TestSimConfig:
         dict(n_steps=350.0),
         dict(burn_in_steps=True),
         dict(v0_seed=1.5),
+        dict(v0_seed=-1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -684,8 +685,10 @@ class TestCachedValues:
         sim = SimConfig(n_steps=50, burn_in_steps=10)
         first = snn._tail_means(sim)
         want = first.copy()
-        first[:] = 7.0
-        assert np.array_equal(snn._tail_means(SimConfig(n_steps=50, burn_in_steps=10)), want)
+        with pytest.raises(ValueError, match="read-only"):
+            first[:] = 7.0
+        again = snn._tail_means(SimConfig(n_steps=50, burn_in_steps=10))
+        assert again is first and np.array_equal(again, want)
 
 
 class TestTailMeans:

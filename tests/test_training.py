@@ -243,7 +243,8 @@ class TestAdam:
     def test_config_validation(self):
         for kwargs in [dict(epochs=0), dict(batch_size=0), dict(learning_rate=0.0),
                        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
-                       dict(epochs=2.5), dict(batch_size=True), dict(seed=1.0)]:
+                       dict(epochs=2.5), dict(batch_size=True), dict(seed=1.0),
+                       dict(seed=-1)]:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 TrainConfig(**kwargs)
 
