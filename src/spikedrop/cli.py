@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -216,9 +215,7 @@ def cmd_compare(args) -> int:
             "histogram_counts": uniformity.histogram.tolist(),
         },
     }
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=1)
-        f.write("\n")
+    network.write_json(args.out, report)
     n_small = sum(1 for p in pvalues if p < 0.05)
     print(f"{len(pvalues)} observations compared; {n_small} with p < 0.05; "
           f"uniformity p = {uniformity.ks_vs_uniform_p:.4g}")

@@ -31,7 +31,8 @@ Both documents are read and written here, and nowhere else: the model file
 (``save_model``, ``load_model``) and the network config (``save_config``,
 ``load_config``), which share the ``spec`` and ``neuron_params`` sections.
 Every field is read by ``_json``, which names the field and its kind when
-it refuses one.
+it refuses one; a key that no reader knows is refused at every level of
+both documents, by name.
 """
 
 from __future__ import annotations
@@ -501,13 +502,31 @@ _KINDS = {  # each kind of JSON value _json reads; a number is finite, as a floa
 }
 
 
-def _json(d: dict, key: str, kind: str):
+def _json(d: dict, key: str, kind: str, keys=None):
     """``d[key]``, refused unless it is ``kind`` (a key of ``_KINDS``), as in
-    "in_dim must be an integer, got 8.7"; a number comes back as a float."""
+    "in_dim must be an integer, got 8.7"; a number comes back as a float.
+    With ``keys``, the object (or each object of the list) is refused if it
+    holds any other key (``_known``)."""
     value = d[key]
     if not _KINDS[kind](value):
         raise ValueError(f"{key} must be {kind}, got {value!r}")
+    if keys is not None:
+        for obj in value if isinstance(value, list) else [value]:
+            _known(obj, keys, key)
     return float(value) if kind == "a number" else value
+
+
+def _known(d: dict, keys, where: str) -> None:
+    """Refuse a key of ``d`` outside ``keys``, as in "unknown layers field
+    'keep_porb'": a misspelt field would otherwise be read as absent."""
+    unknown = set(d) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {where} field {min(unknown)!r}")
+
+
+_SPEC_FIELDS = ("input_slices", "encoders", "head", "output_dim")
+_LAYER_FIELDS = ("in_dim", "out_dim", "activation", "keep_prob", "share_tag")
+_NEURON_FIELDS = tuple(f.name for f in fields(NeuronParams))
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
@@ -547,16 +566,18 @@ def _spec_from_dict(d: dict) -> NetworkSpec:
     return NetworkSpec(
         input_slices=[(_json(s, "name", "a string"), _json(s, "offset", "an integer"),
                        _json(s, "length", "an integer"))
-                      for s in _json(d, "input_slices", "a list of objects")],
+                      for s in _json(d, "input_slices", "a list of objects",
+                                     ("name", "offset", "length"))],
         encoders=[
             EncoderSpec(
                 slices=_json(e, "slices", "a list of strings"),
-                layers=[_layer_from_dict(l) for l in _json(e, "layers", "a list of objects")],
+                layers=[_layer_from_dict(l)
+                        for l in _json(e, "layers", "a list of objects", _LAYER_FIELDS)],
                 share_tag=e.get("share_tag"),
             )
-            for e in _json(d, "encoders", "a list of objects")
+            for e in _json(d, "encoders", "a list of objects", ("slices", "share_tag", "layers"))
         ],
-        head=[_layer_from_dict(l) for l in _json(d, "head", "a list of objects")],
+        head=[_layer_from_dict(l) for l in _json(d, "head", "a list of objects", _LAYER_FIELDS)],
         output_dim=_json(d, "output_dim", "an integer"),
     )
 
@@ -580,7 +601,9 @@ def convert(spec: NetworkSpec, weights: WeightStore, params: NeuronParams) -> Mo
     return Model(spec, weights, params)
 
 
-def _write_json(path, doc: dict) -> None:
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as JSON with one-space indents and a trailing newline:
+    the one JSON writer, for both documents and ``compare``'s report."""
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
@@ -591,7 +614,7 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
     """Write a model file. Floats are serialized with shortest round-trip
     precision, so load(save(x)) reproduces every value exactly."""
     convert(spec, weights, neuron_params)
-    _write_json(path, {
+    write_json(path, {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "analog",
@@ -609,10 +632,7 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
 
 def _neuron_params(d: dict, names) -> NeuronParams:
     """NeuronParams from a neuron_params object: the fields ``names`` read as
-    numbers, the others at their defaults; an unknown field is refused."""
-    unknown = set(d) - {f.name for f in fields(NeuronParams)}
-    if unknown:
-        raise ValueError(f"unknown neuron_params field {min(unknown)!r}")
+    numbers, the others at their defaults."""
     return NeuronParams(**{name: _json(d, name, "a number") for name in names})
 
 
@@ -639,13 +659,15 @@ def load_model(path) -> Model:
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {version!r} "
                              f"(this reader supports {MODEL_FORMAT_VERSION})")
+        _known(doc, ("format", "format_version", "kind", "neuron_params", "spec", "weights"),
+               "top-level")
         if doc["kind"] != "analog":
             raise ValueError(f"unknown model kind {doc['kind']!r}")
-        spec = _spec_from_dict(_json(doc, "spec", "an object"))
-        params = _neuron_params(_json(doc, "neuron_params", "an object"),
-                                [f.name for f in fields(NeuronParams)])
+        spec = _spec_from_dict(_json(doc, "spec", "an object", _SPEC_FIELDS))
+        params = _neuron_params(_json(doc, "neuron_params", "an object", _NEURON_FIELDS),
+                                _NEURON_FIELDS)
         entries = _json(doc, "weights", "an object")
-        entries = {k: _json(entries, k, "an object") for k in entries}
+        entries = {k: _json(entries, k, "an object", ("weight", "bias")) for k in entries}
         weights = WeightStore(
             {k: np.array(v["weight"], dtype=float) for k, v in entries.items()},
             {k: np.array(v["bias"], dtype=float) for k, v in entries.items()},
@@ -656,7 +678,7 @@ def load_model(path) -> Model:
 def save_config(path, spec: NetworkSpec, params: NeuronParams) -> None:
     """Write a network config: the architecture and neuron constants that
     ``load_config`` reads back and ``train`` starts from."""
-    _write_json(path, {"spec": _spec_to_dict(spec), "neuron_params": asdict(params)})
+    write_json(path, {"spec": _spec_to_dict(spec), "neuron_params": asdict(params)})
 
 
 def load_config(path) -> tuple:
@@ -667,8 +689,10 @@ def load_config(path) -> tuple:
         doc = json.load(f)
         if not isinstance(doc, dict):
             raise ValueError(f"network config must be an object, got {doc!r}")
-        spec = _spec_from_dict(_json(doc, "spec", "an object"))
+        _known(doc, ("spec", "neuron_params"), "top-level")
+        spec = _spec_from_dict(_json(doc, "spec", "an object", _SPEC_FIELDS))
         validate(spec)
         constants = doc.get("neuron_params")
-        constants = {} if constants is None else _json(doc, "neuron_params", "an object")
+        constants = ({} if constants is None
+                     else _json(doc, "neuron_params", "an object", _NEURON_FIELDS))
         return spec, _neuron_params(constants, constants)

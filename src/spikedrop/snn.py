@@ -28,9 +28,13 @@ and everything after it is affine, so ``_draw_means`` takes the mean from
 each neuron's exact spike ticks instead of stepping every tick; it agrees
 with the clock-driven tail mean to 1e-12. The spike ticks of all SoftLIF
 layers of a block of draws come from one stepping loop (``_spike_train``):
-each neuron is stepped to its first spike, and the fixed period after it
-from one replay per distinct current. Other networks are stepped tick by
-tick.
+each neuron above threshold is stepped to its first spike, and the fixed
+period after it from one replay per distinct current, which joins the loop
+once its refractory time is over. Every step of that loop integrates a
+whole tick, so it is ``v = c + (v - c) * d`` with one decay factor, and
+gives the ticks of ``lif_step_arrays`` bit for bit. ``_mean_rate`` sums the
+filter's tail means over the spiking neurons' ticks. Other networks are
+stepped tick by tick with ``lif_step_arrays``.
 
 Two values are cached, read-only and bounded, and every observation of a
 run shares them: the v0 uniforms of a block of draws (``_v0_uniforms``, one
@@ -182,39 +186,64 @@ def _v0_uniforms(first_seed: int, n: int, widths: tuple) -> tuple:
 def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronParams):
     """The spike ticks of LIF neurons held at a constant ``current`` from
     voltages ``v0`` (arrays of one shape), as the clock-driven simulation
-    steps them: ticks ``t0 + m * k`` below ``n_steps``.
+    (``lif_step_arrays``) steps them: ticks ``t0 + m * k`` below ``n_steps``.
 
     Returns ``(t0, k)``; ``t0`` is ``n_steps`` for a neuron that never
     spikes and ``k`` is ``n_steps`` for one that spikes once. A neuron whose
     current is below v_th never spikes: each tick moves its voltage toward
     the current, so it stays below ``max(v0, current) < v_th``. Every other
-    neuron is stepped with ``lif_step_arrays`` until its first spike. A
-    spike leaves the state at exactly ``(0, tau_ref)``, whatever came
+    neuron is stepped until its first spike. It starts with no refractory
+    time left and leaves at that spike, so each of its steps integrates the
+    whole tick, and ``lif_step_arrays`` reduces to ``v = c + (v - c) * d``
+    with one decay factor ``d`` for all of them, computed as the step
+    computes it.
+
+    A spike leaves the state at exactly ``(0, tau_ref)``, whatever came
     before, so every later interval is that of a neuron at the same current
     started from ``(0, tau_ref)``: one such replay per distinct current is
     stepped alongside, as extra rows of the same loop, and its first spike
-    at tick r gives ``k = r + 1``. (Whether and when a neuron just above
-    v_th spikes depends on the rounding of every step, so neither is
-    predicted.)
+    at tick r gives ``k = r + 1``. The replays share one refractory clock,
+    advanced by the step's own arithmetic; while it leaves no active time a
+    replay's voltage is exactly ``c - c = 0``, so the replays join the loop
+    at the first tick with active time, from 0 with that tick's decay.
+    (Whether and when a neuron just above v_th spikes depends on the
+    rounding of every step, so neither is predicted.)
     """
-    n_steps = sim.n_steps
+    n_steps, dt = sim.n_steps, sim.dt
+
+    def active(refr):  # the part of a tick lif_step_arrays integrates, from clock refr
+        return np.clip(dt - refr, 0.0, dt)
+
     flat = current.reshape(-1)
     pending = np.flatnonzero(~(flat < p.v_th))  # a NaN current is stepped too
     distinct, replay_of = np.unique(flat[pending], return_inverse=True)
-    # the pending neurons from (v0, 0), then the replays from (0, tau_ref)
-    c = np.concatenate([flat[pending], distinct])
-    v = np.concatenate([v0.reshape(-1)[pending], np.zeros(distinct.size)])
-    refr = np.concatenate([np.zeros(pending.size), np.full(distinct.size, p.tau_ref)])
-    rows = np.arange(c.size)
-    first = np.full(c.size, n_steps)  # each row's first spike tick
+    join, refr = 0, p.tau_ref  # the replays' first tick with active time, their clock then
+    while join < n_steps and not active(refr) > 0.0:
+        join, refr = join + 1, np.maximum(refr - dt, 0.0)
+    d, d_join = np.exp(-active(0.0) / p.tau_rc), np.exp(-active(refr) / p.tau_rc)
+    # rows: the pending neurons, then from tick join the replays
+    c = flat[pending]
+    v = v0.reshape(-1)[pending]
+    rows = np.arange(pending.size)
+    first = np.full(pending.size + distinct.size, n_steps)  # each row's first spike tick
     for t in range(n_steps):
-        if not rows.size:
+        if t == join:
+            rows = np.concatenate([rows, np.arange(pending.size, first.size)])
+            v = np.concatenate([c + (v - c) * d, distinct + (0.0 - distinct) * d_join])
+            c = np.concatenate([c, distinct])
+        elif rows.size:  # v = c + (v - c) * d, in v's own array
+            v -= c
+            v *= d
+            v += c
+        elif t > join:
             break
-        v, refr, spiked = lif_step_arrays(v, refr, c, sim.dt, p)
+        else:
+            continue  # no row to step until the replays join
+        spiked = v >= p.v_th
         if spiked.any():
             first[rows[spiked]] = t
             keep = ~spiked
-            rows, c, v, refr = rows[keep], c[keep], v[keep], refr[keep]
+            rows, c, v = rows[keep], c[keep], v[keep]
     t0 = np.full(flat.size, n_steps)
     k = np.full(flat.size, n_steps)
     t0[pending] = first[:pending.size]
@@ -249,13 +278,17 @@ def _tail_means(sim: SimConfig) -> np.ndarray:
 def _mean_rate(t0: np.ndarray, k: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Post-burn-in mean filtered rate of neurons spiking at ticks
     ``t0 + m * k`` (from _spike_train): ``sum_m tail[t0 + m * k]``, one spike
-    index at a time."""
+    index at a time. Only neurons that spike are summed: a silent one
+    (``t0 = n_steps``) would add only ``tail[n_steps] = 0.0`` to its 0.0."""
     end = tail.size - 1
     mean = np.zeros(t0.shape)
-    tick = t0
+    live = t0 < end
+    tick, step = t0[live], k[live]
+    total = np.zeros(tick.shape)
     while (tick < end).any():
-        mean += tail[np.minimum(tick, end)]
-        tick = tick + k
+        total += tail[np.minimum(tick, end)]
+        tick = tick + step
+    mean[live] = total
     return mean
 
 

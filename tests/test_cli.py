@@ -443,9 +443,12 @@ class TestCompare:
         report_path = tmp_path / "report.json"
         assert main(["compare", "--a", str(a), "--b", str(a),
                      "--out", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
+        text = report_path.read_text()
+        report = json.loads(text)
         assert all(row["d"] == 0.0 and row["p_value"] == 1.0
                    for row in report["per_observation"])
+        # laid out as the JSON documents are: one-space indents, a final newline
+        assert text == json.dumps(report, indent=1) + "\n"
 
     def test_fraction_below_matches_recount(self, workspace, tmp_path):
         a = self.make_samples(workspace, tmp_path, 0, "fa.csv")

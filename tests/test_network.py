@@ -499,6 +499,15 @@ class TestModelFile:
         (lambda doc: doc.update(weights=[]), r"weights must be an object, got \[\]"),
         (lambda doc: doc["weights"].update({"head:0": [1]}),
          r"head:0 must be an object, got \[1\]"),
+        (lambda doc: doc.update(weigths={}), "unknown top-level field 'weigths'"),
+        (lambda doc: doc["spec"].update(outputs=1), "unknown spec field 'outputs'"),
+        (lambda doc: doc["spec"]["input_slices"][0].update(size=4),
+         "unknown input_slices field 'size'"),
+        (lambda doc: doc["spec"]["encoders"][0].update(tag="x"), "unknown encoders field 'tag'"),
+        (lambda doc: doc["spec"]["encoders"][0]["layers"][0].update(keep_porb=0.5),
+         "unknown layers field 'keep_porb'"),
+        (lambda doc: doc["spec"]["head"][0].update(bias=0.0), "unknown head field 'bias'"),
+        (lambda doc: doc["weights"]["head:0"].update(grad=[0.0]), "unknown head:0 field 'grad'"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
             "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma",
             "unused-weights", "neuron-field-typo", "in_dim-float", "out_dim-string",
@@ -507,7 +516,8 @@ class TestModelFile:
             "version-bool", "version-float", "share_tag-empty", "share_tag-int",
             "slices-string", "slice-name-int", "slices-int", "neuron_params-list",
             "neuron_params-string", "spec-list", "encoders-object", "layers-object",
-            "weights-list", "weight-entry-list"])
+            "weights-list", "weight-entry-list", "top-level-typo", "spec-stray", "slice-stray",
+            "encoder-stray", "layer-typo", "head-layer-stray", "weight-entry-stray"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())
@@ -545,3 +555,22 @@ class TestNetworkConfig:
         save_config(path, minimal_spec(), NeuronParams(tau_ref=0.5))
         path.write_text(json.dumps({**doc, "spec": json.loads(path.read_text())["spec"]}))
         assert load_config(path) == (minimal_spec(), NeuronParams())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(neuron_param=doc.pop("neuron_params")),
+         "unknown top-level field 'neuron_param'"),
+        (lambda doc: doc["spec"]["head"][0].update(keep_porb=0.5),
+         "unknown head field 'keep_porb'"),
+        (lambda doc: doc["neuron_params"].update({"tau-ref": 0.5}),
+         "unknown neuron_params field 'tau-ref'"),
+    ], ids=["neuron_params-typo", "layer-typo", "neuron-field-typo"])
+    def test_unknown_key_names_file_and_key(self, tmp_path, edit, message):
+        # a misspelt key must not pass as an absent one (and its defaults)
+        path = tmp_path / "config.json"
+        save_config(path, minimal_spec(), NeuronParams(tau_ref=0.02))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidNetworkError, match=message) as exc:
+            load_config(path)
+        assert str(path) in str(exc.value)

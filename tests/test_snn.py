@@ -547,27 +547,44 @@ class TestSpikeTrain:
         t0, got = snn._spike_train(np.array([1.0000001]), np.zeros(1), sim, P)
         assert t0[0] == 322 and got[0] == k
 
-    def test_subthreshold_neurons_are_never_stepped(self, monkeypatch):
-        stepped = []
-
-        def recording_step(v, refr, current, *args):
-            stepped.append(np.array(current))
-            return lif_step_arrays(v, refr, current, *args)
-
-        monkeypatch.setattr(snn, "lif_step_arrays", recording_step)
+    def test_subthreshold_neurons_are_never_stepped(self):
+        # started far above threshold, every one of these neurons spikes on
+        # its first clock-driven step; one that _spike_train reports silent
+        # was never stepped
         sim = SimConfig(n_steps=200, burn_in_steps=0)
         current = np.array([[0.2, 1.5, ONE_ULP_BELOW, -4.0, np.nan],
                             [1.5, 0.9, 0.0, 3.0, 2.0]])
-        t0, _ = snn._spike_train(current, np.zeros(current.shape), sim, P)
-        assert (t0 == 200).sum() == 6
-        assert stepped
-        for c in stepped:
-            assert ((c >= P.v_th) | np.isnan(c)).all()
-        stepped.clear()
-        below = np.array([[0.2, ONE_ULP_BELOW, -4.0], [0.9, 0.0, 0.999]])
-        t0, _ = snn._spike_train(below, np.full(below.shape, ONE_ULP_BELOW), sim, P)
-        assert (t0 == 200).all()
-        assert stepped == []
+        v0 = np.full(current.shape, 10.0)
+        with np.errstate(invalid="ignore"):
+            stepped_once = replay_raster(current.ravel(), v0.ravel(), replace(sim, n_steps=1), P)
+        below = current < P.v_th
+        assert stepped_once[0][below.ravel()].all()
+        t0, _ = snn._spike_train(current, v0, sim, P)
+        assert np.array_equal(t0, np.where(below | np.isnan(current), 200, 0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), tau_ref=st.sampled_from([0.0, 0.002, 0.0025, 0.0137, 0.02]),
+           dt=st.sampled_from([0.001, 0.0013]), n_steps=st.sampled_from([1, 2, 17, 300]))
+    def test_ticks_equal_replay_at_any_clock(self, data, tau_ref, dt, n_steps):
+        # the first-spike loop's one decay factor (a scalar exp) and the
+        # replays joining at their first tick with active time, against
+        # lif_step_arrays on every neuron, every tick; a tau_ref that is not a
+        # multiple of dt leaves the replays a partial first tick
+        p = NeuronParams(tau_ref=tau_ref)
+        sim = SimConfig(dt=dt, n_steps=n_steps, burn_in_steps=0)
+        shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
+        size = shape[0] * shape[1]
+        current = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from([ONE_ULP_BELOW, 1.0, ONE_ULP_ABOVE, 1.0000001, 1.05, 2.0, 1e9,
+                             np.nan, np.inf, -np.inf]),
+            st.floats(0.5, 60.0)), min_size=size, max_size=size))).reshape(shape)
+        v0 = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, ONE_ULP_BELOW]),
+            st.floats(0.0, 1.0, exclude_max=True)), min_size=size, max_size=size))).reshape(shape)
+        with np.errstate(invalid="ignore"):  # inf - inf stepping inf
+            want = replay_raster(current.ravel(), v0.ravel(), sim, p)
+            t0, k = snn._spike_train(current, v0, sim, p)
+        assert np.array_equal(event_raster(t0.ravel(), k.ravel(), n_steps), want)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data(), tau_ref=st.sampled_from([0.0, 0.002, 0.02]),
@@ -644,6 +661,37 @@ def second_spike_train(current, v0, sim, p):
             keep = ~second
             pending, c, v, refr = pending[keep], c[keep], v[keep], refr[keep]
     return t0.reshape(current.shape), k.reshape(current.shape)
+
+
+def whole_array_mean_rate(t0, k, tail):
+    """The reference for _mean_rate: every neuron, silent ones included,
+    summed one spike index at a time."""
+    end = tail.size - 1
+    mean = np.zeros(t0.shape)
+    tick = t0
+    while (tick < end).any():
+        mean += tail[np.minimum(tick, end)]
+        tick = tick + k
+    return mean
+
+
+class TestMeanRate:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n_steps=st.sampled_from([1, 2, 9, 60, 350]),
+           tau_syn=st.sampled_from([0.0, 0.005]))
+    def test_equals_the_whole_array_loop(self, data, n_steps, tau_syn):
+        # silent neurons (t0 = n_steps), single spikes (k = n_steps), k = 1
+        # and everything between, bit for bit
+        burn_in = data.draw(st.integers(0, n_steps - 1))
+        tail = snn._tail_means(SimConfig(n_steps=n_steps, burn_in_steps=burn_in, tau_syn=tau_syn))
+        shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6)))
+        size = shape[0] * shape[1]
+        t0 = np.array(data.draw(st.lists(st.one_of(st.just(n_steps), st.integers(0, n_steps)),
+                                         min_size=size, max_size=size)), dtype=int).reshape(shape)
+        k = np.array(data.draw(st.lists(st.one_of(st.sampled_from([1, n_steps]),
+                                                  st.integers(1, n_steps)),
+                                        min_size=size, max_size=size)), dtype=int).reshape(shape)
+        assert np.array_equal(snn._mean_rate(t0, k, tail), whole_array_mean_rate(t0, k, tail))
 
 
 class TestCachedValues:
