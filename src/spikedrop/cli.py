@@ -119,15 +119,8 @@ def cmd_infer(args) -> int:
     model, dataset = _load_model_and_data(args)
     sim = _sim_from_args(args)
     n_obs = len(dataset)
-    sample_sets = [
-        mcinfer.predictive_distribution(
-            model.spec, model.weights, model.neuron_params,
-            dataset.features[row], n_draws=args.draws,
-            base_seed=args.seed + row * args.draws,
-            backend=args.backend, sim=sim, observation_id=row,
-        )
-        for row in range(n_obs)
-    ]
+    sample_sets = mcinfer.predictive_distributions(model, dataset.features, args.draws,
+                                                   args.seed, args.backend, sim)
 
     meta = {
         "backend": args.backend,
@@ -182,8 +175,7 @@ def cmd_compare(args) -> int:
     per_obs = []
     pvalues = []
     for obs_id in sorted(groups_a):
-        backend_a, draws_a = groups_a[obs_id]
-        backend_b, draws_b = groups_b[obs_id]
+        draws_a, draws_b = groups_a[obs_id][1], groups_b[obs_id][1]
         result = stats.ks_two_sample(draws_a, draws_b)
         pvalues.append(result.p_value)
         lo = min(draws_a.min(), draws_b.min())
@@ -199,8 +191,8 @@ def cmd_compare(args) -> int:
             "m": result.m,
             "histogram": {
                 "bin_edges": edges.tolist(),
-                f"counts_{backend_a}": np.histogram(draws_a, bins=edges)[0].tolist(),
-                f"counts_{backend_b}": np.histogram(draws_b, bins=edges)[0].tolist(),
+                "counts_a": np.histogram(draws_a, bins=edges)[0].tolist(),
+                "counts_b": np.histogram(draws_b, bins=edges)[0].tolist(),
             },
         })
 

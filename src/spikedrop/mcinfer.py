@@ -6,14 +6,16 @@ same base seed evaluate the same mask sequence. The cross-backend comparison
 is then a paired comparison of the two evaluators. Each spiking draw is an
 independent simulation run and starts from its own initial-voltage draw
 (seed ``v0_seed + k``, applied by the simulator); ``v0_seed = 0`` keeps every
-run at the all-zero start. Both backends evaluate the draws of one
-observation in blocks of at most ``_BLOCK_DRAWS``, each block's dropout
-scales drawn in one call: the analog draws of a block are one batched forward
-pass, the spiking draws one batched simulation (``snn._draw_means``: from
-exact spike times when no SoftLIF layer lies downstream of another, else
-stepped tick by tick). Both read the caller's spec and weights uncopied; the
-spiking backend runs the ``network.Model`` that ``network.convert`` checks
-and builds from them.
+run at the all-zero start. A run (``predictive_distributions``: every
+observation of a file, row r from base seed ``seed + r * n_draws``) evaluates
+its draws in blocks of at most ``_BLOCK_DRAWS``, each block for every
+observation in turn, its dropout scales drawn in one call: the analog draws
+of a block are one batched forward pass, the spiking draws one batched
+simulation (``snn._draw_means``, set up once per block for every observation:
+from exact spike times when no SoftLIF layer lies downstream of another, else
+stepped tick by tick). Both read the caller's ``network.Model`` uncopied;
+``predictive_distribution``, the one-observation case, builds it with
+``network.convert``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (InvalidNetworkError, NetworkSpec, WeightStore, _draw_scales, _forward,
-                      convert)
+from .network import (InvalidNetworkError, Model, NetworkSpec, WeightStore, _draw_scales,
+                      _forward, convert)
 from .neuron import NeuronParams
 from .snn import SimConfig, _draw_means
 
@@ -52,8 +54,9 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
     """Build a predictive distribution from repeated masked evaluations.
 
     analog: masked forward passes. spiking: one simulation per mask, each
-    summarized by its post-burn-in mean. The draws of a block are evaluated
-    together. Deterministic given base_seed.
+    summarized by its post-burn-in mean. The one-observation case of
+    ``predictive_distributions``, with its arguments checked. Deterministic
+    given base_seed.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -68,23 +71,37 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
         raise InvalidNetworkError(
             f"observation has shape {obs.shape}, spec wants ({spec.input_dim},)"
         )
+    (ss,) = predictive_distributions(convert(spec, weights, params), obs[None, :],
+                                     n_draws, base_seed, backend, sim)
+    ss.observation_id = observation_id
+    return ss
 
-    if backend == "spiking":
-        net = convert(spec, weights, params)
-        sim = SimConfig() if sim is None else sim
-    draws = np.empty(n_draws)
+
+def predictive_distributions(model: Model, rows: np.ndarray, n_draws: int, seed: int,
+                             backend: str, sim: SimConfig = None) -> list:
+    """One SampleSet per row of ``rows`` (observations, input_dim), whose
+    observation_id is the row index; draw k of row r uses mask seed ``seed +
+    r * n_draws + k``. The arguments are unchecked: ``predictive_distribution``
+    checks them, as ``infer`` checks its flags, model and data file."""
+    spec = model.spec
+    sim = SimConfig() if sim is None else sim
+    draws = np.empty((len(rows), n_draws))
     for first in range(0, n_draws, _BLOCK_DRAWS):
         n = min(_BLOCK_DRAWS, n_draws - first)
-        scales = _draw_scales(spec, range(base_seed + first, base_seed + first + n))
         if backend == "spiking":
-            draws[first:first + n] = _draw_means(net, obs, scales, sim, first, n)
+            means = _draw_means(model, sim, first, n)
         else:
-            rows = np.broadcast_to(obs, (n, obs.size))
-            draws[first:first + n] = _forward(spec, weights, rows, scales, params)[:, 0]
+            def means(obs, scales):
+                return _forward(spec, model.weights, np.broadcast_to(obs, (n, obs.size)),
+                                scales, model.neuron_params)[:, 0]
+        for r, obs in enumerate(rows):
+            base = seed + r * n_draws + first
+            draws[r, first:first + n] = means(obs, _draw_scales(spec, range(base, base + n)))
 
     if not np.isfinite(draws).all():
         raise FloatingPointError("non-finite prediction draw")
-    return SampleSet(observation_id=observation_id, draws=draws, backend=backend)
+    return [SampleSet(observation_id=r, draws=row, backend=backend)
+            for r, row in enumerate(draws)]
 
 
 def write_samples(path, sample_sets, meta=None) -> None:

@@ -21,31 +21,27 @@ the one-draw case of the clock-driven core (``_simulate_block``) and returns
 the per-tick output potential as a plain array, which ``summarize_trace``
 and ``write_trace`` read.
 
-``mcinfer.predictive_distribution`` asks ``_draw_means`` for each draw's
-post-burn-in mean. When no SoftLIF layer lies downstream of another (SoftLIF
-towers and an affine head, say), every SoftLIF layer sees a constant current
-and everything after it is affine, so ``_draw_means`` takes the mean from
-each neuron's exact spike ticks instead of stepping every tick; it agrees
-with the clock-driven tail mean to 1e-12. The spike ticks of all SoftLIF
-layers of a block of draws come from one stepping loop (``_spike_train``):
-each neuron above threshold is stepped to its first spike, and the fixed
-period after it from one replay per distinct current, which joins the loop
-once its refractory time is over. Every step of that loop integrates a
-whole tick, so it is ``v = c + (v - c) * d`` with one decay factor, and
-gives the ticks of ``lif_step_arrays`` bit for bit. ``_mean_rate`` sums the
-filter's tail means over the spiking neurons' ticks. Other networks are
-stepped tick by tick with ``lif_step_arrays``.
-
-Two values are cached, read-only and bounded, and every observation of a
-run shares them: the v0 uniforms of a block of draws (``_v0_uniforms``, one
-block per SoftLIF layer, keyed by first seed, block size and layer widths)
-and the filter's tail means (``_tail_means``, keyed by the ``SimConfig``).
+Every observation of a run starts a block of draws from the same voltages, so
+``mcinfer.predictive_distributions`` sets ``_draw_means`` up once per block
+(the initial voltages and the filter's tail means, as locals) and asks it for
+each observation's post-burn-in means. When no SoftLIF layer lies downstream
+of another (SoftLIF towers and an affine head, say), every SoftLIF layer sees
+a constant current and everything after it is affine, so ``_draw_means``
+takes the mean from each neuron's exact spike ticks instead of stepping every
+tick; it agrees with the clock-driven tail mean to 1e-12. The spike ticks of
+all SoftLIF layers of a block of draws come from one stepping loop
+(``_spike_train``): each neuron above threshold is stepped to its first
+spike, and the fixed period after it from one replay per distinct current,
+which joins the loop once its refractory time is over. Every step of that
+loop integrates a whole tick, so it is ``v = c + (v - c) * d`` with one decay
+factor, and gives the ticks of ``lif_step_arrays`` bit for bit.
+``_mean_rate`` sums the filter's tail means over the spiking neurons' ticks.
+Other networks are stepped tick by tick with ``lif_step_arrays``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,14 +96,16 @@ def simulate(net: Model, input, masks, sim: SimConfig) -> np.ndarray:
             f"input has shape {x.shape}, spec wants ({net.spec.input_dim},)"
         )
     scales = _layer_scales(net.spec, masks)
-    trace = _simulate_block(net, x, scales, sim, first_draw=0, n=1)[0]
+    v0 = _initial_voltages(net.spec, net.neuron_params, sim, 0, 1)
+    trace = _simulate_block(net, x, scales, sim, v0, 1)[0]
     return trace[:, 0] if net.spec.output_dim == 1 else trace
 
 
-def _draw_means(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
-                first_draw: int, n: int) -> np.ndarray:
-    """Post-burn-in mean output of draws ``first_draw .. first_draw + n - 1``
-    of a scalar-output network, evaluated together.
+def _draw_means(net: Model, sim: SimConfig, first_draw: int, n: int):
+    """Set up draws ``first_draw .. first_draw + n - 1`` of a scalar-output
+    network once, their initial voltages and tail means computed here for
+    every call; returns ``means(input, scales)``, the post-burn-in mean output
+    of those draws of one observation (``input`` (input_dim,), unchecked).
 
     When every path from input to output crosses at most one SoftLIF layer,
     each SoftLIF layer sees a current that is constant from tick to tick and
@@ -122,29 +120,34 @@ def _draw_means(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
     reduced as ``summarize_trace`` reduces it.
     """
     spec = net.spec
-    if not _one_spiking_layer_per_path(spec):
-        traces = _simulate_block(net, input, scales, sim, first_draw, n)
-        return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
-
     p = net.neuron_params
-    inputs = _gather_inputs(spec, np.broadcast_to(input, (n, input.size)))
-    currents = {}
-
-    def collect(i, current):
-        currents[i] = current
-        return np.zeros_like(current), None  # a placeholder: only affine layers take it in
-
-    _pass(spec, net.weights, scales, collect)(inputs)
     v0 = _initial_voltages(spec, p, sim, first_draw, n)
+    if not _one_spiking_layer_per_path(spec):
+        return lambda input, scales: _simulate_block(
+            net, input, scales, sim, v0, n)[:, sim.burn_in_steps:, 0].mean(axis=1)
+
+    tail = _tail_means(sim)
     # one (n, total SoftLIF width) block: _spike_train and _mean_rate act on
     # each neuron alone; the empty block keeps a spec without SoftLIF layers
     empty = np.empty((n, 0))
-    t0, k = _spike_train(np.hstack([empty, *currents.values()]),
-                         np.hstack([empty, *v0.values()]), sim, p)
-    means = np.hsplit(_mean_rate(t0, k, _tail_means(sim)),
-                      np.cumsum([c.shape[1] for c in currents.values()], dtype=int)[:-1])
-    rates = dict(zip(currents, means))
-    return _pass(spec, net.weights, scales, lambda i, _: (rates[i], None))(inputs)[:, 0]
+    start = np.hstack([empty, *v0.values()])
+
+    def event_means(input, scales):
+        inputs = _gather_inputs(spec, np.broadcast_to(input, (n, input.size)))
+        currents = {}
+
+        def collect(i, current):
+            currents[i] = current
+            return np.zeros_like(current), None  # a placeholder: only affine layers take it in
+
+        _pass(spec, net.weights, scales, collect)(inputs)
+        t0, k = _spike_train(np.hstack([empty, *currents.values()]), start, sim, p)
+        means = np.hsplit(_mean_rate(t0, k, tail),
+                          np.cumsum([c.shape[1] for c in currents.values()], dtype=int)[:-1])
+        rates = dict(zip(currents, means))
+        return _pass(spec, net.weights, scales, lambda i, _: (rates[i], None))(inputs)[:, 0]
+
+    return event_means
 
 
 def _one_spiking_layer_per_path(spec) -> bool:
@@ -160,27 +163,16 @@ def _initial_voltages(spec, p: NeuronParams, sim: SimConfig, first_draw: int, n:
     instance, keyed by its index in layer_instances order. Row k is draw
     ``first_draw + k``, drawn from ``default_rng(sim.v0_seed + first_draw + k)``
     layer by layer in that order, uniform in [0, v_th); all zero when
-    ``v0_seed`` is 0. The arrays are new on every call."""
+    ``v0_seed`` is 0."""
     widths = {i: layer.out_dim for i, (_, _, layer, _) in enumerate(spec.layer_instances())
               if layer.activation == "softlif"}
     if sim.v0_seed == 0:
         return {i: np.zeros((n, width)) for i, width in widths.items()}
     # uniform(0.0, v_th) returns 0.0 + v_th * u for the same u, and adding
     # 0.0 changes no bit of the non-negative product
-    blocks = _v0_uniforms(sim.v0_seed + first_draw, n, tuple(widths.values()))
+    first = sim.v0_seed + first_draw
+    blocks = _stream_uniforms(range(first, first + n), list(widths.values()))
     return {i: p.v_th * u for i, u in zip(widths, blocks)}
-
-
-@lru_cache(maxsize=8)
-def _v0_uniforms(first_seed: int, n: int, widths: tuple) -> tuple:
-    """Read-only ``_stream_uniforms`` blocks of seeds ``first_seed ..
-    first_seed + n - 1``, one per width. Every observation of a run starts
-    its blocks of draws from the same v0 seeds, so the blocks are drawn once
-    and reused."""
-    blocks = tuple(_stream_uniforms(range(first_seed, first_seed + n), widths))
-    for u in blocks:
-        u.flags.writeable = False
-    return blocks
 
 
 def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronParams):
@@ -252,13 +244,11 @@ def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronP
     return t0.reshape(current.shape), k.reshape(current.shape)
 
 
-@lru_cache(maxsize=8)
 def _tail_means(sim: SimConfig) -> np.ndarray:
     """``G[s]``: the post-burn-in mean of the synaptic filter's response to
     one 1/dt impulse at tick s, by the clock-driven recursion (a step of 1
     when ``tau_syn`` is 0, which passes the bare impulse); ``G[n_steps]`` is
-    0, for spikes that never come. Read-only: every block of draws of a run
-    shares one table."""
+    0, for spikes that never come."""
     n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
     response = np.zeros(n)  # filter output u ticks after the impulse
     alpha = dt / sim.tau_syn if sim.tau_syn > 0 else 1.0
@@ -271,7 +261,6 @@ def _tail_means(sim: SimConfig) -> np.ndarray:
     s = np.arange(n)
     out = np.zeros(n + 1)
     out[:n] = (csum[n - s] - csum[np.maximum(burn_in - s, 0)]) / (n - burn_in)
-    out.flags.writeable = False
     return out
 
 
@@ -293,20 +282,21 @@ def _mean_rate(t0: np.ndarray, k: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
-                    first_draw: int, n: int) -> np.ndarray:
+                    v0: dict, n: int) -> np.ndarray:
     """Step ``n`` LIF networks in lockstep, as one network whose state is an
     (n, width) array per spiking layer; ``input`` (input_dim,) is unchecked.
 
     ``scales`` holds per layer instance None or the dropout scales, of shape
     (out_dim,) shared by every draw or (n, out_dim), one row per draw. Row k
-    is draw ``first_draw + k`` and starts from its initial voltages
-    (``_initial_voltages``). Returns the output potentials, shape
-    (n, n_steps, output_dim).
+    starts from row k of ``v0``, the initial voltages of a block of draws
+    (``_initial_voltages``), which stay as they are for the caller's next
+    observation. Returns the output potentials, shape (n, n_steps, output_dim).
     """
     spec = net.spec
     p = net.neuron_params
-    # per-neuron state of spiking layer i: voltage, refractory clock, filter
-    v = _initial_voltages(spec, p, sim, first_draw, n)
+    # per-neuron state of spiking layer i: voltage (a copy of v0's dict, whose
+    # entries each tick rebinds), refractory clock, filter
+    v = dict(v0)
     refr = {i: np.zeros_like(v[i]) for i in v}
     syn = {i: np.zeros_like(v[i]) for i in v}
 

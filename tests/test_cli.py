@@ -5,7 +5,7 @@ import pytest
 
 from spikedrop.cli import main
 from spikedrop.data import load_csv
-from spikedrop.mcinfer import read_samples
+from spikedrop.mcinfer import predictive_distribution, read_samples
 from spikedrop.network import (LayerSpec, combo_spec, init_weights, load_model, sample_masks,
                                save_config, save_model)
 from spikedrop.neuron import NeuronParams
@@ -366,6 +366,24 @@ class TestInfer:
         assert meta["steps"] == "120"
         assert len(groups) == 3 and all(len(d) == 2 for _, d in groups.values())
 
+    @pytest.mark.parametrize("backend", ["analog", "spiking"])
+    def test_row_r_uses_base_seed_seed_plus_r_draws(self, workspace, tmp_path, backend):
+        _, data, _, model_path = workspace
+        small = tmp_path / "small.csv"
+        small.write_text("\n".join(data.read_text().splitlines()[:4]) + "\n")
+        out = tmp_path / "s.csv"
+        assert main(["infer", "--model", str(model_path), "--data", str(small),
+                     "--backend", backend, "--draws", "3", "--seed", "5",
+                     "--steps", "60", "--burnin", "10", "--out", str(out)]) == 0
+        model = load_model(model_path)
+        features = load_csv(small, target_column="target").features
+        sim = SimConfig(n_steps=60, burn_in_steps=10)
+        _, groups = read_samples(out)
+        for row in range(3):
+            want = predictive_distribution(model.spec, model.weights, model.neuron_params,
+                                           features[row], 3, 5 + row * 3, backend, sim)
+            assert groups[row][1].tolist() == want.draws.tolist()
+
 
 class TestTrace:
     def test_header_echoes_masked_analog_output(self, workspace, tmp_path):
@@ -427,14 +445,14 @@ class TestTrace:
 
 
 class TestCompare:
-    def make_samples(self, workspace, tmp_path, seed, name):
+    def make_samples(self, workspace, tmp_path, seed, name, draws=40):
         _, data, _, model = workspace
         small = tmp_path / "sub.csv"
         lines = data.read_text().splitlines()
         small.write_text("\n".join(lines[:9]) + "\n")
         out = tmp_path / name
         main(["infer", "--model", str(model), "--data", str(small),
-              "--backend", "analog", "--draws", "40", "--seed", str(seed),
+              "--backend", "analog", "--draws", str(draws), "--seed", str(seed),
               "--out", str(out)])
         return out
 
@@ -462,7 +480,20 @@ class TestCompare:
         assert frac == pytest.approx(np.mean([p < 0.05 for p in pvals]))
         hist = report["per_observation"][0]["histogram"]
         assert len(hist["bin_edges"]) == 21
-        assert sum(hist["counts_analog"]) == 40
+        assert sum(hist["counts_a"]) == sum(hist["counts_b"]) == 40
+
+    def test_same_backend_files_keep_both_histograms(self, workspace, tmp_path):
+        a = self.make_samples(workspace, tmp_path, 0, "ha.csv", draws=30)
+        b = self.make_samples(workspace, tmp_path, 500, "hb.csv", draws=40)
+        report_path = tmp_path / "r.json"
+        assert main(["compare", "--a", str(a), "--b", str(b),
+                     "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["inputs"]["a"]["backend"] == report["inputs"]["b"]["backend"] == "analog"
+        for row in report["per_observation"]:
+            hist = row["histogram"]
+            assert set(hist) == {"bin_edges", "counts_a", "counts_b"}
+            assert (sum(hist["counts_a"]), sum(hist["counts_b"])) == (30, 40)
 
     @pytest.mark.parametrize("defect, message", [
         (lambda rows: rows[:2] + ["0,2,analog"] + rows[3:], "row 3: expected 4 fields, got 3"),

@@ -14,6 +14,7 @@ from spikedrop.mcinfer import (
     BACKENDS,
     SampleSet,
     predictive_distribution,
+    predictive_distributions,
     read_samples,
     write_samples,
 )
@@ -251,6 +252,39 @@ class TestBatchedAnalogDraws:
         five = predictive_distribution(spec, weights, P, obs, 5, 17, "analog")
         twelve = predictive_distribution(spec, weights, P, obs, 12, 17, "analog")
         assert np.array_equal(five.draws, twelve.draws[:5])
+
+
+class TestRunLevelDraws:
+    """A run evaluates each block of draws for every observation in turn,
+    sharing the block's set-up; row r's draws are those of the
+    one-observation case at base seed seed + r * n_draws, bit for bit."""
+
+    NESTED = NetworkSpec(  # a SoftLIF head over a SoftLIF tower: the clock path
+        input_slices=[("x", 0, 2)],
+        encoders=[EncoderSpec(["x"], [LayerSpec(2, 4, "softlif", 0.8)])],
+        head=[LayerSpec(4, 3, "softlif", 0.5), LayerSpec(3, 1, "linear")],
+        output_dim=1,
+    )
+
+    @pytest.mark.parametrize("backend, v0_seed", [("analog", 1), ("spiking", 0), ("spiking", 6)])
+    @pytest.mark.parametrize("nested", [False, True], ids=["exact-path", "nested"])
+    def test_rows_equal_one_observation_runs(self, backend, v0_seed, nested):
+        if nested:
+            spec = self.NESTED
+            weights = init_weights(spec, seed=4)
+            weights.biases["head:0"][:] = 1.5  # the head spikes
+        else:
+            spec, weights = four_neuron_net(keep_prob=0.5)
+        rows = np.random.default_rng(8).uniform(0.5, 2.0, size=(3, 2))
+        sim = SimConfig(n_steps=40, burn_in_steps=10, v0_seed=v0_seed)
+        n_draws = _BLOCK_DRAWS + 5
+        got = predictive_distributions(convert(spec, weights, P), rows, n_draws, 21, backend, sim)
+        assert [(ss.observation_id, ss.backend) for ss in got] == [(r, backend) for r in range(3)]
+        for r, ss in enumerate(got):
+            want = predictive_distribution(spec, weights, P, rows[r], n_draws, 21 + r * n_draws,
+                                           backend, sim)
+            assert len(np.unique(ss.draws)) > 2  # the masks and the rows act
+            assert np.array_equal(ss.draws, want.draws)
 
 
 class TestSamplesFile:

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import spikedrop
 from spikedrop import snn
 from spikedrop.mcinfer import _BLOCK_DRAWS, predictive_distribution
 from spikedrop.network import (
@@ -492,7 +495,8 @@ def event_raster(t0, k, n_steps):
 
 def clock_means(net, x, scales, sim, n):
     """The clock-driven post-burn-in mean of each draw."""
-    traces = snn._simulate_block(net, x, scales, sim, 0, n)
+    v0 = snn._initial_voltages(net.spec, net.neuron_params, sim, 0, n)
+    traces = snn._simulate_block(net, x, scales, sim, v0, n)
     return traces[:, sim.burn_in_steps:, 0].mean(axis=1)
 
 
@@ -695,8 +699,9 @@ class TestMeanRate:
 
 
 class TestCachedValues:
-    """The start voltages and tail means are cached across calls; callers
-    get values no earlier caller can have changed."""
+    """The start voltages and tail means that every observation of a run
+    shares are computed once per block of draws by ``_draw_means``'s set-up
+    and held in the closure it returns; no module keeps a cache."""
 
     TWO_TOWERS = NetworkSpec(
         input_slices=[("x", 0, 2)],
@@ -710,7 +715,6 @@ class TestCachedValues:
     @pytest.mark.parametrize("v_th", [1.0, 0.7, 3.3])
     def test_initial_voltages_equal_per_draw_uniforms(self, first_draw, v_th):
         sim = SimConfig(v0_seed=11)
-        snn._initial_voltages(self.TWO_TOWERS, P, sim, first_draw, 6)  # fills the cache at v_th 1
         p = NeuronParams(v_th=v_th)
         got = snn._initial_voltages(self.TWO_TOWERS, p, sim, first_draw, 6)
         assert list(got) == [1, 2, 3]
@@ -719,24 +723,12 @@ class TestCachedValues:
             for i, width in zip(got, (4, 5, 2)):
                 assert np.array_equal(got[i][k], rng.uniform(0.0, v_th, width))
 
-    @pytest.mark.parametrize("v0_seed", [0, 4])
-    def test_writing_initial_voltages_leaves_later_calls_alone(self, v0_seed):
-        sim = SimConfig(v0_seed=v0_seed)
-        first = snn._initial_voltages(self.TWO_TOWERS, P, sim, 2, 5)
-        want = {i: v.copy() for i, v in first.items()}
-        for v in first.values():
-            v[:] = 7.0
-        again = snn._initial_voltages(self.TWO_TOWERS, P, sim, 2, 5)
-        assert all(np.array_equal(again[i], want[i]) for i in want)
-
-    def test_writing_tail_means_leaves_later_calls_alone(self):
-        sim = SimConfig(n_steps=50, burn_in_steps=10)
-        first = snn._tail_means(sim)
-        want = first.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            first[:] = 7.0
-        again = snn._tail_means(SimConfig(n_steps=50, burn_in_steps=10))
-        assert again is first and np.array_equal(again, want)
+    def test_no_module_keeps_a_cache(self):
+        modules = [importlib.import_module(f"spikedrop.{m.name}")
+                   for m in pkgutil.iter_modules(spikedrop.__path__)]
+        cached = [f"{module.__name__}.{name}" for module in [spikedrop, *modules]
+                  for name, value in vars(module).items() if hasattr(value, "cache_info")]
+        assert cached == []
 
 
 class TestTailMeans:
@@ -784,7 +776,7 @@ class TestEventDrivenDraws:
         x = np.random.default_rng(seed).normal(size=spec.input_dim)
         sim = SimConfig(n_steps=150, burn_in_steps=burn_in, tau_syn=tau_syn, v0_seed=v0_seed)
         scales = _draw_scales(spec, range(seed, seed + n_draws))
-        got = snn._draw_means(net, x, scales, sim, 0, n_draws)
+        got = snn._draw_means(net, sim, 0, n_draws)(x, scales)
         assert np.allclose(got, clock_means(net, x, scales, sim, n_draws),
                            rtol=1e-12, atol=1e-12)
 
@@ -808,7 +800,7 @@ class TestEventDrivenDraws:
         x = np.random.default_rng(seed).normal(size=spec.input_dim)
         sim = SimConfig(n_steps=60, burn_in_steps=10)
         scales = _draw_scales(spec, range(seed, seed + n_draws))
-        got = snn._draw_means(net, x, scales, sim, 0, n_draws)
+        got = snn._draw_means(net, sim, 0, n_draws)(x, scales)
         assert np.array_equal(got, clock_means(net, x, scales, sim, n_draws))
 
     @pytest.mark.parametrize("towers, head, eligible", [
