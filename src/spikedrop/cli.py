@@ -45,13 +45,14 @@ def _sim_from_args(args) -> snn.SimConfig:
 
 
 def _add_sim_flags(parser):
-    parser.add_argument("--dt", type=_POSITIVE_FLOAT, default=0.001, help="tick length in seconds")
-    parser.add_argument("--steps", type=_POSITIVE_INT, default=1000, help="number of ticks")
-    parser.add_argument("--burnin", type=_NONNEGATIVE_INT, default=200,
+    sim = snn.SimConfig  # each flag defaults to its config field's default
+    parser.add_argument("--dt", type=_POSITIVE_FLOAT, default=sim.dt, help="tick length in seconds")
+    parser.add_argument("--steps", type=_POSITIVE_INT, default=sim.n_steps, help="number of ticks")
+    parser.add_argument("--burnin", type=_NONNEGATIVE_INT, default=sim.burn_in_steps,
                         help="ticks discarded before averaging the output potential")
-    parser.add_argument("--tausyn", type=_NONNEGATIVE_FLOAT, default=0.005,
+    parser.add_argument("--tausyn", type=_NONNEGATIVE_FLOAT, default=sim.tau_syn,
                         help="synaptic lowpass time constant in seconds")
-    parser.add_argument("--v0-seed", type=_NONNEGATIVE_INT, default=1,
+    parser.add_argument("--v0-seed", type=_NONNEGATIVE_INT, default=sim.v0_seed,
                         help="seed for heterogeneous initial voltages (0 = all-zero start)")
 
 
@@ -79,10 +80,7 @@ def cmd_init_spec(args) -> int:
 
 def cmd_train(args) -> int:
     spec, params = network.load_config(args.spec)
-    dataset = data_mod.load_csv(args.data, target_column=args.target)
-    if dataset.n_features != spec.input_dim:
-        raise ValueError(f"{args.data} has {dataset.n_features} features, "
-                         f"network config {args.spec} wants {spec.input_dim}")
+    dataset = _load_data(args, spec, f"network config {args.spec}")
     train_ds, test_ds = data_mod.train_test_split(dataset, args.test_fraction,
                                                   seed=args.seed)
     if not len(train_ds) or not len(test_ds):
@@ -101,22 +99,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_and_data(args):
-    """The model and dataset files of ``infer`` and ``trace``, checked to agree
-    in width, and the model to have one output, before any work starts."""
-    model = network.load_model(args.model)
-    if model.spec.output_dim != 1:
-        raise ValueError(f"model {args.model} has output_dim {model.spec.output_dim}; "
-                         "predictive draws and traces need output_dim 1")
+def _load_data(args, spec, source):
+    """The data file of a command, checked before any work starts to fit the
+    ``spec`` read from ``source`` (``model X`` or ``network config X``)."""
+    if spec.output_dim != 1:
+        raise ValueError(f"{source} has output_dim {spec.output_dim}; spikedrop needs output_dim 1")
     dataset = data_mod.load_csv(args.data, target_column=args.target)
-    if dataset.n_features != model.spec.input_dim:
+    if dataset.n_features != spec.input_dim:
         raise ValueError(f"{args.data} has {dataset.n_features} features, "
-                         f"model {args.model} wants {model.spec.input_dim}")
-    return model, dataset
+                         f"{source} wants {spec.input_dim}")
+    return dataset
 
 
 def cmd_infer(args) -> int:
-    model, dataset = _load_model_and_data(args)
+    model = network.load_model(args.model)
+    dataset = _load_data(args, model.spec, f"model {args.model}")
     sim = _sim_from_args(args)
     n_obs = len(dataset)
     sample_sets = mcinfer.predictive_distributions(model, dataset.features, args.draws,
@@ -139,7 +136,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    model, dataset = _load_model_and_data(args)
+    model = network.load_model(args.model)
+    dataset = _load_data(args, model.spec, f"model {args.model}")
     if args.row >= len(dataset):
         raise ValueError(f"{args.data}: row {args.row} out of range [0, {len(dataset)})")
     observation = dataset.features[args.row]
@@ -240,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-hidden", type=_NONNEGATIVE_INT, default=32,
                    help="hidden head width; 0 = affine readout directly on the towers")
     p.add_argument("--keep-prob", type=_KEEP_PROB, default=0.9)
-    p.add_argument("--tau-ref", type=_NONNEGATIVE_FLOAT, default=0.002)
-    p.add_argument("--tau-rc", type=_POSITIVE_FLOAT, default=0.02)
-    p.add_argument("--v-th", type=_POSITIVE_FLOAT, default=1.0)
-    p.add_argument("--gamma", type=_POSITIVE_FLOAT, default=0.02)
+    p.add_argument("--tau-ref", type=_NONNEGATIVE_FLOAT, default=NeuronParams.tau_ref)
+    p.add_argument("--tau-rc", type=_POSITIVE_FLOAT, default=NeuronParams.tau_rc)
+    p.add_argument("--v-th", type=_POSITIVE_FLOAT, default=NeuronParams.v_th)
+    p.add_argument("--gamma", type=_POSITIVE_FLOAT, default=NeuronParams.gamma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init_spec)
 

@@ -13,9 +13,9 @@ observation in turn, its dropout scales drawn in one call: the analog draws
 of a block are one batched forward pass, the spiking draws one batched
 simulation (``snn._draw_means``, set up once per block for every observation:
 from exact spike times when no SoftLIF layer lies downstream of another, else
-stepped tick by tick). Both read the caller's ``network.Model`` uncopied;
-``predictive_distribution``, the one-observation case, builds it with
-``network.convert``.
+stepped tick by tick). Both read the caller's ``network.Model`` uncopied, and
+``predictive_distributions`` checks every argument; ``predictive_distribution``,
+the one-observation case, builds its model with ``network.convert``.
 """
 
 from __future__ import annotations
@@ -55,23 +55,11 @@ def predictive_distribution(spec: NetworkSpec, weights: WeightStore,
 
     analog: masked forward passes. spiking: one simulation per mask, each
     summarized by its post-burn-in mean. The one-observation case of
-    ``predictive_distributions``, with its arguments checked. Deterministic
+    ``predictive_distributions``, which checks the arguments. Deterministic
     given base_seed.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    if base_seed < 0:
-        raise ValueError("base_seed must be >= 0")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if spec.output_dim != 1:
-        raise ValueError("predictive draws are scalars; output_dim must be 1")
-    obs = np.asarray(observation, dtype=float)
-    if obs.shape != (spec.input_dim,):
-        raise InvalidNetworkError(
-            f"observation has shape {obs.shape}, spec wants ({spec.input_dim},)"
-        )
-    (ss,) = predictive_distributions(convert(spec, weights, params), obs[None, :],
+    (ss,) = predictive_distributions(convert(spec, weights, params),
+                                     np.asarray(observation, dtype=float)[None],
                                      n_draws, base_seed, backend, sim)
     ss.observation_id = observation_id
     return ss
@@ -81,9 +69,20 @@ def predictive_distributions(model: Model, rows: np.ndarray, n_draws: int, seed:
                              backend: str, sim: SimConfig = None) -> list:
     """One SampleSet per row of ``rows`` (observations, input_dim), whose
     observation_id is the row index; draw k of row r uses mask seed ``seed +
-    r * n_draws + k``. The arguments are unchecked: ``predictive_distribution``
-    checks them, as ``infer`` checks its flags, model and data file."""
+    r * n_draws + k``. Every argument is checked before any draw is made."""
     spec = model.spec
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
+    if seed < 0:
+        raise ValueError("base_seed must be >= 0")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if spec.output_dim != 1:
+        raise ValueError("predictive draws are scalars; output_dim must be 1")
+    if rows.ndim != 2 or rows.shape[1] != spec.input_dim:
+        raise InvalidNetworkError(
+            f"observation has shape {rows.shape[1:]}, spec wants ({spec.input_dim},)"
+        )
     sim = SimConfig() if sim is None else sim
     draws = np.empty((len(rows), n_draws))
     for first in range(0, n_draws, _BLOCK_DRAWS):

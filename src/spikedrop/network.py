@@ -293,6 +293,8 @@ def sample_masks(spec: NetworkSpec, seed: int) -> dict:
     the one-seed case of ``_draw_scales``, whose scale is positive exactly
     where the mask keeps.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     return {
         ikey: np.ones(layer.out_dim) if scale is None else (scale[0] > 0).astype(float)
         for (ikey, _, layer, is_output), scale in zip(spec.layer_instances(),
@@ -678,6 +680,7 @@ def load_model(path) -> Model:
 def save_config(path, spec: NetworkSpec, params: NeuronParams) -> None:
     """Write a network config: the architecture and neuron constants that
     ``load_config`` reads back and ``train`` starts from."""
+    validate(spec)
     write_json(path, {"spec": _spec_to_dict(spec), "neuron_params": asdict(params)})
 
 

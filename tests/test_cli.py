@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spikedrop.cli import main
+from spikedrop.cli import _sim_from_args, build_parser, main
 from spikedrop.data import load_csv
 from spikedrop.mcinfer import predictive_distribution, read_samples
 from spikedrop.network import (LayerSpec, combo_spec, init_weights, load_model, sample_masks,
@@ -59,6 +59,18 @@ class TestInitSpec:
         doc = json.loads(config.read_text())
         assert "spec" in doc and "neuron_params" in doc
         assert doc["spec"]["output_dim"] == 1
+
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path):
+        parser = build_parser()
+        args = parser.parse_args(["infer", "--model", "m", "--data", "d", "--out", "o"])
+        assert _sim_from_args(args) == SimConfig()
+        args = parser.parse_args(["init-spec", "--out", "o"])
+        assert NeuronParams(tau_ref=args.tau_ref, tau_rc=args.tau_rc, v_th=args.v_th,
+                            gamma=args.gamma) == NeuronParams()
+        out, lib = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert main(["init-spec", "--out", str(out)]) == 0
+        save_config(lib, combo_spec(8, 8), NeuronParams())
+        assert out.read_bytes() == lib.read_bytes()
 
     def test_bytes_equal_save_config(self, tmp_path):
         out = tmp_path / "cli.json"
@@ -266,22 +278,25 @@ class TestDataWidth:
         assert f"{narrow} has 6 features, {wanted_by} wants 9" in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("command", ["infer", "trace"])
+    @pytest.mark.parametrize("command", ["infer", "trace", "train"])
     def test_model_with_two_outputs_is_refused_naming_it(self, workspace, tmp_path, capsys,
                                                          command):
         _, data, _, _ = workspace
         spec = combo_spec(3, 3, cell_hidden=4, drug_hidden=4, head_hidden=0)
         spec.head = [LayerSpec(12, 2, "linear")]
         spec.output_dim = 2
-        model = tmp_path / "wide.json"
-        save_model(model, spec, init_weights(spec, seed=0), NeuronParams())
-        argv = [command, "--model", str(model), "--data", str(data),
-                "--out", str(tmp_path / "o.csv"), "--steps", "300"]
+        wide = tmp_path / "wide.json"
+        if command == "train":
+            save_config(wide, spec, NeuronParams())
+            argv, source = ["train", "--spec", str(wide)], f"network config {wide}"
+        else:
+            save_model(wide, spec, init_weights(spec, seed=0), NeuronParams())
+            argv, source = [command, "--model", str(wide), "--steps", "300"], f"model {wide}"
         if command == "trace":
             argv += ["--row", "0"]
-        assert main(argv) == 1
-        assert f"model {model} has output_dim 2" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "o.csv")]) == 1
+        assert f"{source} has output_dim 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [wide]  # no output, no training history
 
     @pytest.mark.parametrize("command", ["infer", "trace", "train"])
     def test_non_finite_cell_names_file_row_and_column(self, workspace, tmp_path, capsys,

@@ -183,6 +183,37 @@ class TestPredictiveDistribution:
                 check()
 
 
+class TestArgumentChecks:
+    """The run-level function checks every argument before any draw, so both
+    entry points refuse a bad one with the same message."""
+
+    @pytest.mark.parametrize("entry", ["one-observation", "run"])
+    @pytest.mark.parametrize("bad, error, message", [
+        ({"n_draws": 0}, ValueError, "n_draws must be >= 1"),
+        ({"seed": -3}, ValueError, "base_seed must be >= 0"),
+        ({"backend": "spikng"}, ValueError, "unknown backend 'spikng'"),
+        ({"shape": (3,)}, InvalidNetworkError, r"observation has shape \(3,\), spec wants \(2,\)"),
+        ({"shape": (1, 2)}, InvalidNetworkError,
+         r"observation has shape \(1, 2\), spec wants \(2,\)"),
+        ({"output_dim": 2}, ValueError, "predictive draws are scalars; output_dim must be 1"),
+    ], ids=["n_draws", "seed", "backend", "width", "rank", "output_dim"])
+    def test_refused_by_both_entry_points(self, entry, bad, error, message):
+        spec, weights = four_neuron_net()
+        a = {"n_draws": 4, "seed": 0, "backend": "spiking", "shape": (2,), **bad}
+        if "output_dim" in bad:
+            spec = dataclasses.replace(spec, head=[LayerSpec(4, 2, "linear")], output_dim=2)
+            weights = init_weights(spec, seed=0)
+        rows = np.full((2, *a["shape"]), 0.5)
+        sim = SimConfig(n_steps=20, burn_in_steps=5)
+        with pytest.raises(error, match=message):
+            if entry == "run":
+                predictive_distributions(convert(spec, weights, P), rows, a["n_draws"],
+                                         a["seed"], a["backend"], sim)
+            else:
+                predictive_distribution(spec, weights, P, rows[0], a["n_draws"], a["seed"],
+                                        a["backend"], sim)
+
+
 def per_draw_forward(spec, weights, obs, n_draws, base_seed):
     """The per-draw reference of an analog predictive distribution: one
     forward pass per draw k under the masks of seed base_seed + k."""

@@ -327,6 +327,10 @@ class TestSampleMasks:
         m = sample_masks(spec, seed=3)["enc0:0"]
         assert set(np.unique(m)) <= {0.0, 1.0}
 
+    def test_negative_seed_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sample_masks(minimal_spec(keep_prob=0.5), seed=-1)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=dropout_networks(), seed=st.integers(0, 2 ** 63 - 1))
     def test_mask_entrances_agree_bitwise(self, spec, seed):
@@ -547,6 +551,15 @@ class TestNetworkConfig:
             path = Path(tmp) / "config.json"
             save_config(path, spec, params)
             assert load_config(path) == (spec, params)
+
+    def test_save_refuses_what_load_refuses_and_writes_nothing(self, tmp_path):
+        spec = combo_spec(2, 2, 4, 4, 0)
+        spec.head[0] = LayerSpec(99, 1, "linear")
+        path = tmp_path / "config.json"
+        with pytest.raises(InvalidNetworkError,
+                           match="head dimension mismatch: layer 0 in_dim 99 != 12"):
+            save_config(path, spec, P)
+        assert not path.exists()
 
     @pytest.mark.parametrize("doc", [{}, {"neuron_params": None}, {"neuron_params": {}}],
                              ids=["missing", "null", "empty"])
