@@ -38,10 +38,17 @@ _KEEP_PROB = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
+# each simulation flag's dest, also its meta key, and the SimConfig field it sets
+_SIM_FIELDS = {"dt": "dt", "steps": "n_steps", "burnin": "burn_in_steps", "tausyn": "tau_syn",
+               "v0_seed": "v0_seed"}
+
+
 def _sim_from_args(args) -> snn.SimConfig:
-    return snn.SimConfig(dt=args.dt, n_steps=args.steps,
-                         burn_in_steps=args.burnin, tau_syn=args.tausyn,
-                         v0_seed=args.v0_seed)
+    return snn.SimConfig(**{field: getattr(args, dest) for dest, field in _SIM_FIELDS.items()})
+
+
+def _sim_meta(sim: snn.SimConfig) -> dict:
+    return {dest: getattr(sim, field) for dest, field in _SIM_FIELDS.items()}
 
 
 def _add_sim_flags(parser):
@@ -128,8 +135,7 @@ def cmd_infer(args) -> int:
                      "draw k uses mask seed base_seed + k",
     }
     if args.backend == "spiking":
-        meta.update({"dt": sim.dt, "steps": sim.n_steps, "burnin": sim.burn_in_steps,
-                     "tausyn": sim.tau_syn, "v0_seed": sim.v0_seed})
+        meta.update(_sim_meta(sim))
     mcinfer.write_samples(args.out, sample_sets, meta)
     print(f"wrote {n_obs * args.draws} draws to {args.out}")
     return 0
@@ -152,8 +158,7 @@ def cmd_trace(args) -> int:
         "mask_seed": "none" if args.mask_seed is None else args.mask_seed,
         "dnn_output": repr(float(analog_out[0])),
         "post_burn_in_mean": repr(float(snn.summarize_trace(trace, sim.burn_in_steps))),
-        "dt": sim.dt,
-        "burnin": sim.burn_in_steps,
+        **_sim_meta(sim),
     }
     snn.write_trace(args.out, trace, sim.dt, meta)
     print(f"wrote {len(trace)} ticks to {args.out}")

@@ -79,6 +79,9 @@ def predictive_distributions(model: Model, rows: np.ndarray, n_draws: int, seed:
         raise ValueError(f"unknown backend {backend!r}")
     if spec.output_dim != 1:
         raise ValueError("predictive draws are scalars; output_dim must be 1")
+    if rows.ndim < 2:
+        raise InvalidNetworkError(f"rows must be a 2-D (observations, {spec.input_dim}) "
+                                  f"table, got shape {rows.shape}")
     if rows.ndim != 2 or rows.shape[1] != spec.input_dim:
         raise InvalidNetworkError(
             f"observation has shape {rows.shape[1:]}, spec wants ({spec.input_dim},)"

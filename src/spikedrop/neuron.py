@@ -10,12 +10,12 @@ Replacing the hard rectifier with the smoothed softplus
 everywhere and converges to the hard rate as ``gamma -> 0``. Networks are
 trained on the SoftLIF curve and simulated with the hard-threshold dynamics.
 
-The SoftLIF formulas are written once, in private helpers: ``_softlif``
-evaluates the rate and returns the intermediates ``(q, t, soft, rate)``, and
-``_softlif_grad`` builds the derivative from those intermediates with a few
-multiplies. The analog forward pass keeps them in its layer records, so the
-backward pass never evaluates an ``exp`` or ``log1p`` again. The public
-``softlif_rate`` wraps ``_softlif`` and gives the same bits.
+Each formula is written once, in a private helper: ``_rate`` turns a drive
+(``J - v_th``, or its softplus for SoftLIF) into a rate, ``_decay`` is one
+tick's membrane decay, ``_softlif`` returns the SoftLIF rate with the
+intermediates ``(q, t, soft, rate)`` and ``_softlif_grad`` builds the
+derivative from them. The analog forward pass keeps them in its layer
+records, so the backward pass never evaluates an ``exp`` or ``log1p`` again.
 """
 
 from __future__ import annotations
@@ -71,20 +71,25 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
+def _rate(drive, params: NeuronParams):
+    """``1 / (tau_ref + tau_rc * log1p(v_th / drive))`` where an array of
+    drives is positive, else 0: the LIF rate of ``J - v_th`` or its softplus."""
+    # v_th / drive is inf (rate 0) where the drive is 0 or subnormal. Every
+    # element is evaluated and the positive ones kept: cheaper than indexing
+    # them, and the bits of evaluating them alone
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(drive > 0, 1.0 / (
+            params.tau_ref + params.tau_rc * np.log1p(params.v_th / drive)
+        ), 0.0)
+
+
 def lif_rate(current, params: NeuronParams = NeuronParams()):
     """Steady-state firing rate (Hz) of a LIF neuron under constant current.
 
     Zero at and below the threshold ``v_th``. Accepts scalars or arrays.
     """
     j, scalar = _as_array(current)
-    over = j - params.v_th
-    out = np.zeros_like(over)
-    pos = over > 0
-    # v_th / over may overflow to inf for subnormal over; the rate is then 0
-    with np.errstate(over="ignore"):
-        out[pos] = 1.0 / (
-            params.tau_ref + params.tau_rc * np.log1p(params.v_th / over[pos])
-        )
+    out = _rate(j - params.v_th, params)
     return float(out) if scalar else out
 
 
@@ -100,13 +105,7 @@ def _softlif(current, params: NeuronParams):
     """The SoftLIF rate of an array of currents, and the parts
     ``(q, t, soft, rate)`` from which _softlif_grad builds its derivative."""
     q, t, soft = _softplus_parts(current - params.v_th, params.gamma)
-    # v_th / soft is inf where soft is 0 or subnormal, and the rate then 0.
-    # Every element is evaluated and the soft > 0 ones kept, which gives them
-    # the bits of evaluating them alone and costs less than indexing them
-    with np.errstate(over="ignore", divide="ignore"):
-        rate = np.where(soft > 0, 1.0 / (
-            params.tau_ref + params.tau_rc * np.log1p(params.v_th / soft)
-        ), 0.0)
+    rate = _rate(soft, params)
     return rate, (q, t, soft, rate)
 
 
@@ -131,6 +130,12 @@ def softlif_rate(current, params: NeuronParams = NeuronParams()):
     return float(out) if scalar else out
 
 
+def _decay(refractory, dt: float, params: NeuronParams):
+    """The membrane's decay over one tick of length ``dt`` from the clock
+    ``refractory``: only the tick's non-refractory part integrates."""
+    return np.exp(-np.clip(dt - refractory, 0.0, dt) / params.tau_rc)
+
+
 def lif_step_arrays(voltage, refractory, current, dt: float, params: NeuronParams):
     """Advance a vector of LIF neurons by one tick of length ``dt``.
 
@@ -145,13 +150,10 @@ def lif_step_arrays(voltage, refractory, current, dt: float, params: NeuronParam
     refractory = np.asarray(refractory, dtype=float)
     current = np.asarray(current, dtype=float)
 
-    active_time = np.clip(dt - refractory, 0.0, dt)
-    decay = np.exp(-active_time / params.tau_rc)
-    v = current + (voltage - current) * decay
+    v = current + (voltage - current) * _decay(refractory, dt, params)
 
     spiked = v >= params.v_th
     v = np.where(spiked, 0.0, v)
-    refr = np.maximum(refractory - dt, 0.0)
-    refr = np.where(spiked, params.tau_ref, refr)
+    refr = np.where(spiked, params.tau_ref, np.maximum(refractory - dt, 0.0))
     return v, refr, spiked
 

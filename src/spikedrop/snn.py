@@ -31,12 +31,12 @@ takes the mean from each neuron's exact spike ticks instead of stepping every
 tick; it agrees with the clock-driven tail mean to 1e-12. The spike ticks of
 all SoftLIF layers of a block of draws come from one stepping loop
 (``_spike_train``): each neuron above threshold is stepped to its first
-spike, and the fixed period after it from one replay per distinct current,
-which joins the loop once its refractory time is over. Every step of that
-loop integrates a whole tick, so it is ``v = c + (v - c) * d`` with one decay
-factor, and gives the ticks of ``lif_step_arrays`` bit for bit.
-``_mean_rate`` sums the filter's tail means over the spiking neurons' ticks.
-Other networks are stepped tick by tick with ``lif_step_arrays``.
+spike, and the fixed period after it from one replay per distinct current.
+Every row enters that loop at its first tick with active time and then steps
+whole ticks, ``v = c + (v - c) * d`` with the step's own decay
+(``neuron._decay``), which gives the ticks of ``lif_step_arrays`` bit for
+bit. ``_mean_rate`` sums the filter's tail means over the spiking neurons'
+ticks. Other networks are stepped tick by tick with ``lif_step_arrays``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .network import (InvalidNetworkError, Model, _gather_inputs, _layer_scales, _pass,
                       _stream_uniforms)
-from .neuron import NeuronParams, _check_fields, lif_step_arrays
+from .neuron import NeuronParams, _check_fields, _decay, lif_step_arrays
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class SimConfig:
 
     v0_seed selects heterogeneous initial voltages uniform in [0, v_th),
     which desynchronizes neurons and reduces output ripple (draw k of a batch
-    uses ``v0_seed + k``); 0 means an all-zero start. A filter
-    (``tau_syn > 0``) needs ``dt <= tau_syn``.
+    uses ``v0_seed + k``); 0 means an all-zero start. A filter (a positive
+    ``tau_syn``) needs ``dt <= tau_syn``; ``tau_syn`` 0 means no filter.
     """
 
     dt: float = 0.001
@@ -108,16 +108,13 @@ def _draw_means(net: Model, sim: SimConfig, first_draw: int, n: int):
     of those draws of one observation (``input`` (input_dim,), unchecked).
 
     When every path from input to output crosses at most one SoftLIF layer,
-    each SoftLIF layer sees a current that is constant from tick to tick and
-    everything after it is affine, so the time mean passes through to the
-    spiking layers. One network pass collects every SoftLIF layer's current
-    (no SoftLIF layer feeds another, so none depends on a spiking output),
-    one ``_spike_train`` call times the spikes of all their neurons at once,
-    and a second pass carries each neuron's exact mean filtered rate
-    (``_mean_rate``, ``_tail_means``) to the output. It agrees with the tail
-    mean of ``_simulate_block`` to 1e-12, the sums being taken in another
-    order. Other networks are stepped tick by tick and each draw's tail
-    reduced as ``summarize_trace`` reduces it.
+    one network pass collects every SoftLIF layer's (constant) current (none
+    depends on a spiking output), one ``_spike_train`` call times the spikes
+    of all their neurons at once, and a second pass carries each neuron's
+    exact mean filtered rate (``_mean_rate``, ``_tail_means``) to the output:
+    the tail mean of ``_simulate_block`` to 1e-12, summed in another order.
+    Other networks are stepped tick by tick and each draw's tail reduced as
+    ``summarize_trace`` reduces it.
     """
     spec = net.spec
     p = net.neuron_params
@@ -187,75 +184,71 @@ def _spike_train(current: np.ndarray, v0: np.ndarray, sim: SimConfig, p: NeuronP
     neuron is stepped until its first spike. It starts with no refractory
     time left and leaves at that spike, so each of its steps integrates the
     whole tick, and ``lif_step_arrays`` reduces to ``v = c + (v - c) * d``
-    with one decay factor ``d`` for all of them, computed as the step
-    computes it.
+    with one decay factor ``d`` for all of them, the step's own
+    (``neuron._decay``).
 
     A spike leaves the state at exactly ``(0, tau_ref)``, whatever came
     before, so every later interval is that of a neuron at the same current
     started from ``(0, tau_ref)``: one such replay per distinct current is
-    stepped alongside, as extra rows of the same loop, and its first spike
-    at tick r gives ``k = r + 1``. The replays share one refractory clock,
-    advanced by the step's own arithmetic; while it leaves no active time a
-    replay's voltage is exactly ``c - c = 0``, so the replays join the loop
-    at the first tick with active time, from 0 with that tick's decay.
+    stepped alongside, as extra rows of the same loop. The replays share one
+    refractory clock, advanced by the step's own arithmetic; while it covers
+    a whole tick a replay's voltage stays exactly ``c - c = 0``. Every row
+    enters the loop holding its voltage after its first tick with active
+    time: tick 0 for a neuron, tick ``join`` for the replays (from 0, by that
+    tick's possibly partial decay). Loop tick r is tick ``join + r`` of a
+    replay, so its first spike at loop tick r gives ``k = join + r + 1``.
     (Whether and when a neuron just above v_th spikes depends on the
     rounding of every step, so neither is predicted.)
     """
     n_steps, dt = sim.n_steps, sim.dt
-
-    def active(refr):  # the part of a tick lif_step_arrays integrates, from clock refr
-        return np.clip(dt - refr, 0.0, dt)
-
     flat = current.reshape(-1)
     pending = np.flatnonzero(~(flat < p.v_th))  # a NaN current is stepped too
     distinct, replay_of = np.unique(flat[pending], return_inverse=True)
     join, refr = 0, p.tau_ref  # the replays' first tick with active time, their clock then
-    while join < n_steps and not active(refr) > 0.0:
+    while join < n_steps and refr >= dt:  # no active time this tick
         join, refr = join + 1, np.maximum(refr - dt, 0.0)
-    d, d_join = np.exp(-active(0.0) / p.tau_rc), np.exp(-active(refr) / p.tau_rc)
-    # rows: the pending neurons, then from tick join the replays
+    d, d_join = _decay(0.0, dt, p), _decay(refr, dt, p)
+    # rows: the pending neurons after tick 0, then the replays after tick join
     c = flat[pending]
-    v = v0.reshape(-1)[pending]
-    rows = np.arange(pending.size)
-    first = np.full(pending.size + distinct.size, n_steps)  # each row's first spike tick
+    v = np.concatenate([c + (v0.reshape(-1)[pending] - c) * d,
+                        distinct + (0.0 - distinct) * d_join])
+    c = np.concatenate([c, distinct])
+    rows = np.arange(c.size)
+    first = np.full(c.size, n_steps)  # each row's first spike, in loop ticks
     for t in range(n_steps):
-        if t == join:
-            rows = np.concatenate([rows, np.arange(pending.size, first.size)])
-            v = np.concatenate([c + (v - c) * d, distinct + (0.0 - distinct) * d_join])
-            c = np.concatenate([c, distinct])
-        elif rows.size:  # v = c + (v - c) * d, in v's own array
-            v -= c
-            v *= d
-            v += c
-        elif t > join:
-            break
-        else:
-            continue  # no row to step until the replays join
         spiked = v >= p.v_th
         if spiked.any():
             first[rows[spiked]] = t
             keep = ~spiked
             rows, c, v = rows[keep], c[keep], v[keep]
-    t0 = np.full(flat.size, n_steps)
-    k = np.full(flat.size, n_steps)
+        if not rows.size:
+            break
+        v -= c  # v = c + (v - c) * d, in v's own array
+        v *= d
+        v += c
+    t0, k = np.full((2, flat.size), n_steps)
     t0[pending] = first[:pending.size]
-    k[pending] = first[pending.size:][replay_of] + 1
+    k[pending] = join + first[pending.size:][replay_of] + 1
     k[t0 + k >= n_steps] = n_steps  # no second spike inside the run
     return t0.reshape(current.shape), k.reshape(current.shape)
 
 
+def _filter_step(syn, spiked, sim: SimConfig):
+    """One tick of the synaptic lowpass fed 1/dt where ``spiked``: gain
+    ``dt / tau_syn``, or 1 with no filter, which passes ``spiked / dt``."""
+    gain = sim.dt / sim.tau_syn if sim.tau_syn else 1.0
+    return syn + gain * (spiked / sim.dt - syn)
+
+
 def _tail_means(sim: SimConfig) -> np.ndarray:
     """``G[s]``: the post-burn-in mean of the synaptic filter's response to
-    one 1/dt impulse at tick s, by the clock-driven recursion (a step of 1
-    when ``tau_syn`` is 0, which passes the bare impulse); ``G[n_steps]`` is
-    0, for spikes that never come."""
-    n, burn_in, dt = sim.n_steps, sim.burn_in_steps, sim.dt
+    one 1/dt impulse at tick s, by the clock-driven recursion
+    (``_filter_step``); ``G[n_steps]`` is 0, for spikes that never come."""
+    n, burn_in = sim.n_steps, sim.burn_in_steps
     response = np.zeros(n)  # filter output u ticks after the impulse
-    alpha = dt / sim.tau_syn if sim.tau_syn > 0 else 1.0
     syn = 0.0
     for u in range(n):
-        syn = syn + alpha * ((1.0 / dt if u == 0 else 0.0) - syn)
-        response[u] = syn
+        response[u] = syn = _filter_step(syn, u == 0, sim)
     # the tail holds ticks burn_in .. n - 1, i.e. response[burn_in - s .. n - 1 - s]
     csum = np.concatenate([[0.0], np.cumsum(response)])
     s = np.arange(n)
@@ -300,13 +293,9 @@ def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
     refr = {i: np.zeros_like(v[i]) for i in v}
     syn = {i: np.zeros_like(v[i]) for i in v}
 
-    dt = sim.dt
-    # no filter: step 1 passes spiked / dt exactly, syn being 0 or 1/dt
-    alpha = dt / sim.tau_syn if sim.tau_syn > 0 else 1.0
-
     def lif(i, current):
-        v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, dt, p)
-        syn[i] = syn[i] + alpha * (spiked / dt - syn[i])
+        v[i], refr[i], spiked = lif_step_arrays(v[i], refr[i], current, sim.dt, p)
+        syn[i] = _filter_step(syn[i], spiked, sim)
         return syn[i], None
 
     run = _pass(spec, net.weights, scales, lif)

@@ -458,6 +458,24 @@ class TestTrace:
         assert [float(v) for _, _, v in rows] == want.tolist()
         assert meta["post_burn_in_mean"] == repr(summarize_trace(want, 20))
 
+    def test_meta_rebuilds_the_simulation(self, workspace, tmp_path):
+        # every simulation flag is echoed, so the file alone reproduces its ticks
+        _, data, _, model_path = workspace
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--model", str(model_path), "--data", str(data), "--row", "1",
+                     "--dt", "0.0005", "--steps", "90", "--burnin", "15", "--tausyn", "0.01",
+                     "--v0-seed", "4", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        meta = dict(l.lstrip("# ").split("=", 1) for l in lines if l.startswith("#"))
+        sim = SimConfig(dt=float(meta["dt"]), n_steps=int(meta["steps"]),
+                        burn_in_steps=int(meta["burnin"]), tau_syn=float(meta["tausyn"]),
+                        v0_seed=int(meta["v0_seed"]))
+        assert sim == SimConfig(dt=0.0005, n_steps=90, burn_in_steps=15, tau_syn=0.01, v0_seed=4)
+        model = load_model(model_path)
+        want = simulate(model, load_csv(data, target_column="target").features[1], None, sim)
+        ticks = [float(l.split(",")[2]) for l in lines if not l.startswith(("#", "tick"))]
+        assert ticks == want.tolist()
+
 
 class TestCompare:
     def make_samples(self, workspace, tmp_path, seed, name, draws=40):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -212,6 +213,15 @@ class TestArgumentChecks:
             else:
                 predictive_distribution(spec, weights, P, rows[0], a["n_draws"], a["seed"],
                                         a["backend"], sim)
+
+    @pytest.mark.parametrize("shape", [(2,), ()])
+    def test_rows_of_fewer_than_two_dimensions_are_refused_as_a_table(self, shape):
+        # one observation (or a scalar) where the run wants a table of them
+        spec, weights = four_neuron_net()
+        with pytest.raises(InvalidNetworkError, match=(
+                rf"rows must be a 2-D \(observations, 2\) table, got shape {re.escape(str(shape))}")):
+            predictive_distributions(convert(spec, weights, P), np.full(shape, 0.5), 4, 0,
+                                     "spiking", SimConfig(n_steps=20, burn_in_steps=5))
 
 
 def per_draw_forward(spec, weights, obs, n_draws, base_seed):
