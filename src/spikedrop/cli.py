@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -44,7 +45,11 @@ _SIM_FIELDS = {"dt": "dt", "steps": "n_steps", "burnin": "burn_in_steps", "tausy
 
 
 def _sim_from_args(args) -> snn.SimConfig:
-    return snn.SimConfig(**{field: getattr(args, dest) for dest, field in _SIM_FIELDS.items()})
+    try:
+        return snn.SimConfig(**{field: getattr(args, dest) for dest, field in _SIM_FIELDS.items()})
+    except ValueError as exc:  # the subcommand's usage error, naming the flags
+        flags = {field: "--" + dest.replace("_", "-") for dest, field in _SIM_FIELDS.items()}
+        args.sim_parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
 
 
 def _sim_meta(sim: snn.SimConfig) -> dict:
@@ -61,6 +66,7 @@ def _add_sim_flags(parser):
                         help="synaptic lowpass time constant in seconds")
     parser.add_argument("--v0-seed", type=_NONNEGATIVE_INT, default=sim.v0_seed,
                         help="seed for heterogeneous initial voltages (0 = all-zero start)")
+    parser.set_defaults(sim_parser=parser)  # main builds args.sim, refusing through it
 
 
 def cmd_synth(args) -> int:
@@ -121,10 +127,9 @@ def _load_data(args, spec, source):
 def cmd_infer(args) -> int:
     model = network.load_model(args.model)
     dataset = _load_data(args, model.spec, f"model {args.model}")
-    sim = _sim_from_args(args)
     n_obs = len(dataset)
     sample_sets = mcinfer.predictive_distributions(model, dataset.features, args.draws,
-                                                   args.seed, args.backend, sim)
+                                                   args.seed, args.backend, args.sim)
 
     meta = {
         "backend": args.backend,
@@ -135,7 +140,7 @@ def cmd_infer(args) -> int:
                      "draw k uses mask seed base_seed + k",
     }
     if args.backend == "spiking":
-        meta.update(_sim_meta(sim))
+        meta.update(_sim_meta(args.sim))
     mcinfer.write_samples(args.out, sample_sets, meta)
     print(f"wrote {n_obs * args.draws} draws to {args.out}")
     return 0
@@ -147,20 +152,19 @@ def cmd_trace(args) -> int:
     if args.row >= len(dataset):
         raise ValueError(f"{args.data}: row {args.row} out of range [0, {len(dataset)})")
     observation = dataset.features[args.row]
-    sim = _sim_from_args(args)
 
     masks = None if args.mask_seed is None else network.sample_masks(model.spec, args.mask_seed)
     analog_out, _ = network.forward(model.spec, model.weights, observation,
                                     masks, model.neuron_params)
-    trace = snn.simulate(model, observation, masks, sim)
+    trace = snn.simulate(model, observation, masks, args.sim)
     meta = {
         "row": args.row,
         "mask_seed": "none" if args.mask_seed is None else args.mask_seed,
         "dnn_output": repr(float(analog_out[0])),
-        "post_burn_in_mean": repr(float(snn.summarize_trace(trace, sim.burn_in_steps))),
-        **_sim_meta(sim),
+        "post_burn_in_mean": repr(float(snn.summarize_trace(trace, args.sim.burn_in_steps))),
+        **_sim_meta(args.sim),
     }
-    snn.write_trace(args.out, trace, sim.dt, meta)
+    snn.write_trace(args.out, trace, args.sim.dt, meta)
     print(f"wrote {len(trace)} ticks to {args.out}")
     return 0
 
@@ -296,12 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "burnin" in vars(args) and args.burnin >= args.steps:
-        parser.error(f"--burnin ({args.burnin}) must be less than --steps ({args.steps})")
-    if "tausyn" in vars(args) and 0 < args.tausyn < args.dt:
-        parser.error(f"--dt ({args.dt}) must not exceed --tausyn ({args.tausyn}) when --tausyn > 0")
+    args = build_parser().parse_args(argv)
+    if "sim_parser" in vars(args):
+        args.sim = _sim_from_args(args)
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure -> exit 1 with a diagnostic

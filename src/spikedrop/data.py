@@ -1,5 +1,5 @@
-"""Dataset handling: CSV ingestion, a synthetic two-drug generator, and
-train/test splitting.
+"""Dataset handling: CSV ingestion, ``write_table`` (the one writer of every
+CSV output), a synthetic two-drug generator, and train/test splitting.
 
 The synthetic generator stands in for a large combination-therapy benchmark
 at desk scale: input = [cell | drug_a | drug_b] with a target that is
@@ -92,11 +92,20 @@ def load_csv(path, target_column: str) -> Dataset:
 
 def save_csv(path, dataset: Dataset, target_column: str = "target") -> None:
     """Write a Dataset back to CSV; floats keep full round-trip precision."""
+    write_table(path, list(dataset.feature_names) + [target_column],
+                np.column_stack([dataset.features, dataset.targets]).astype(float).tolist())
+
+
+def write_table(path, header, rows, meta=None) -> None:
+    """Write '# key=value' lines from ``meta``, then ``header`` and ``rows``
+    as comma-separated lines, each ended by "\\n". A float cell is written as
+    its repr, which reads back exactly: pass Python floats, not numpy scalars."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(dataset.feature_names) + [target_column])
-        for row, target in zip(dataset.features, dataset.targets):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+        for key, val in (meta or {}).items():
+            f.write(f"# {key}={val}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def synth_combo(n: int, cell_dim: int = 8, drug_dim: int = 8,

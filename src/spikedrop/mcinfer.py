@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .network import (InvalidNetworkError, Model, NetworkSpec, WeightStore, _draw_scales,
                       _forward, convert)
 from .neuron import NeuronParams
@@ -107,16 +108,11 @@ def predictive_distributions(model: Model, rows: np.ndarray, n_draws: int, seed:
 
 
 def write_samples(path, sample_sets, meta=None) -> None:
-    """Samples file: '# key=value' comment lines, then a CSV with header
-    observation_id, draw_id, backend, prediction (observation-major order)."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for key, val in (meta or {}).items():
-            f.write(f"# {key}={val}\n")
-        writer = csv.writer(f)
-        writer.writerow(["observation_id", "draw_id", "backend", "prediction"])
-        for ss in sample_sets:
-            for k, value in enumerate(ss.draws):
-                writer.writerow([ss.observation_id, k, ss.backend, repr(float(value))])
+    """Samples file (``data.write_table``): '# key=value' comment lines, then
+    header observation_id, draw_id, backend, prediction (observation-major)."""
+    write_table(path, ["observation_id", "draw_id", "backend", "prediction"],
+                ([ss.observation_id, k, ss.backend, value]
+                 for ss in sample_sets for k, value in enumerate(ss.draws.tolist())), meta)
 
 
 def read_samples(path):

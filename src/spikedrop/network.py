@@ -484,13 +484,7 @@ def combo_spec(cell_dim: int, drug_dim: int, cell_hidden: int = 16,
 # --- documents (JSON): the model file and the network config -----------------
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
-    return {
-        "in_dim": layer.in_dim,
-        "out_dim": layer.out_dim,
-        "activation": layer.activation,
-        "keep_prob": layer.keep_prob,
-        "share_tag": None,  # format v1 field; towers share through the encoder tag
-    }
+    return {**asdict(layer), "share_tag": None}  # a format v1 field, always null
 
 
 _KINDS = {  # each kind of JSON value _json reads; a number is finite, as a float
@@ -632,6 +626,21 @@ def save_model(path, spec: NetworkSpec, weights: WeightStore,
     })
 
 
+def _numbers(entry: dict, key: str, part: str) -> np.ndarray:
+    """Weights entry ``key``'s ``part`` (weight or bias) as a float array:
+    lists of equal length, nested down to values that are each "a number"."""
+    items = [entry[part]]
+    for item in items:  # grows as it goes: the values of every nested list join it
+        if isinstance(item, list):
+            items.extend(item)
+        elif not _KINDS["a number"](item):
+            raise ValueError(f"{key} {part} values must be numbers, got {item!r}")
+    try:
+        return np.array(entry[part], dtype=float)
+    except ValueError:
+        raise ValueError(f"{key} {part} is ragged: its rows differ in length") from None
+
+
 def _neuron_params(d: dict, names) -> NeuronParams:
     """NeuronParams from a neuron_params object: the fields ``names`` read as
     numbers, the others at their defaults."""
@@ -670,10 +679,8 @@ def load_model(path) -> Model:
                                 _NEURON_FIELDS)
         entries = _json(doc, "weights", "an object")
         entries = {k: _json(entries, k, "an object", ("weight", "bias")) for k in entries}
-        weights = WeightStore(
-            {k: np.array(v["weight"], dtype=float) for k, v in entries.items()},
-            {k: np.array(v["bias"], dtype=float) for k, v in entries.items()},
-        )
+        weights = WeightStore({k: _numbers(v, k, "weight") for k, v in entries.items()},
+                              {k: _numbers(v, k, "bias") for k, v in entries.items()})
         return convert(spec, weights, params)
 
 

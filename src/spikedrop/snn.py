@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .network import (InvalidNetworkError, Model, _gather_inputs, _layer_scales, _pass,
                       _stream_uniforms)
 from .neuron import NeuronParams, _check_fields, _decay, lif_step_arrays
@@ -73,7 +74,8 @@ class SimConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not (0 <= self.burn_in_steps < self.n_steps):
-            raise ValueError("burn_in_steps must lie in [0, n_steps)")
+            raise ValueError(f"burn_in_steps ({self.burn_in_steps}) must lie in "
+                             f"[0, n_steps ({self.n_steps}))")
         if self.tau_syn < 0:
             raise ValueError("tau_syn must be >= 0")
         if 0 < self.tau_syn < self.dt:
@@ -324,15 +326,11 @@ def summarize_trace(trace: np.ndarray, burn_in_steps: int):
 
 
 def write_trace(path, trace: np.ndarray, dt: float, meta=None) -> None:
-    """Dump a scalar-output ``simulate`` trace of tick length ``dt`` as
-    comma-separated text: tick, time_s, output_potential. ``meta`` entries
-    become '# key=value' comment lines before the header row."""
-    values = np.asarray(trace)
+    """Dump a scalar-output ``simulate`` trace of tick length ``dt`` through
+    ``data.write_table``: '# key=value' lines from ``meta``, then tick,
+    time_s, output_potential."""
+    values = np.asarray(trace, dtype=float)
     if values.ndim != 1:
         raise ValueError("trace dump supports scalar-output traces only")
-    with open(path, "w", encoding="utf-8") as f:
-        for key, val in (meta or {}).items():
-            f.write(f"# {key}={val}\n")
-        f.write("tick,time_s,output_potential\n")
-        for i, v in enumerate(values):
-            f.write(f"{i},{i * dt!r},{float(v)!r}\n")
+    write_table(path, ["tick", "time_s", "output_potential"],
+                ((i, i * dt, v) for i, v in enumerate(values.tolist())), meta)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .neuron import NeuronParams, _check_fields, _softlif_grad
 from .network import (
     ForwardCache,
@@ -207,8 +208,5 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig,
 
 
 def write_history(path, history) -> None:
-    """Loss history as comma-separated text: epoch, train_mse, test_mse."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,train_mse,test_mse\n")
-        for epoch, train_mse, test_mse in history:
-            f.write(f"{epoch},{train_mse!r},{test_mse!r}\n")
+    """Loss history (``data.write_table``): epoch, train_mse, test_mse."""
+    write_table(path, ["epoch", "train_mse", "test_mse"], history)

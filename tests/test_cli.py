@@ -256,7 +256,11 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv + files + ["--out", "o"])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        # the usage line lists every flag, so only the error line shows the one refused;
+        # the subcommand's own parser reports it, cross-flag rules included
+        (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+        assert line.startswith(f"spikedrop {argv[0]}: error: ")
+        assert flag in line
 
 
 class TestDataWidth:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -10,6 +11,9 @@ from spikedrop.data import (
     synth_combo,
     train_test_split,
 )
+from spikedrop.mcinfer import SampleSet, read_samples, write_samples
+from spikedrop.snn import write_trace
+from spikedrop.training import write_history
 
 
 class TestLoadCsv:
@@ -94,6 +98,47 @@ class TestLoadCsv:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.targets, ds.targets)
         assert back.feature_names == ds.feature_names
+
+
+class TestTableWriters:
+    def test_every_writer_ends_lines_in_newline_and_reads_back(self, tmp_path):
+        ds = synth_combo(6, 2, 2, seed=1)
+        save_csv(tmp_path / "data.csv", ds)
+        back = load_csv(tmp_path / "data.csv", "target")
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.targets, ds.targets)
+
+        sets = [SampleSet(0, np.array([0.1, -2.5]), "spiking"),
+                SampleSet(1, np.array([1 / 3, 7.0]), "spiking")]
+        write_samples(tmp_path / "samples.csv", sets, {"backend": "spiking", "seed": 4})
+        meta, groups = read_samples(tmp_path / "samples.csv")
+        assert meta == {"backend": "spiking", "seed": "4"}
+        assert all(np.array_equal(groups[s.observation_id][1], s.draws) for s in sets)
+
+        trace = np.array([0.1, 1 / 3, -2.0])
+        write_trace(tmp_path / "trace.csv", trace, 0.001, {"row": 2, "dt": 0.001})
+        history = [(0, 0.5, 1 / 3), (1, 0.25, float("nan"))]
+        write_history(tmp_path / "history.csv", history)
+
+        for name, meta_lines, header in [
+            ("data.csv", [], ds.feature_names + ["target"]),
+            ("samples.csv", ["# backend=spiking", "# seed=4"],
+             ["observation_id", "draw_id", "backend", "prediction"]),
+            ("trace.csv", ["# row=2", "# dt=0.001"], ["tick", "time_s", "output_potential"]),
+            ("history.csv", [], ["epoch", "train_mse", "test_mse"]),
+        ]:
+            text = (tmp_path / name).read_bytes().decode()
+            assert "\r" not in text, name
+            lines = text.split("\n")
+            assert lines[-1] == "", name  # the last line ends in "\n" too
+            assert lines[:len(meta_lines)] == meta_lines, name
+            rows = list(csv.reader(lines[len(meta_lines):-1]))
+            assert rows[0] == header, name
+            if name == "trace.csv":
+                assert [[int(t), float(s), float(v)] for t, s, v in rows[1:]] == [
+                    [i, i * 0.001, v] for i, v in enumerate(trace.tolist())]
+            elif name == "history.csv":
+                assert np.array_equal(np.array(rows[1:], dtype=float), history, equal_nan=True)
 
 
 class TestSynthCombo:

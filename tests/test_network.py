@@ -512,6 +512,14 @@ class TestModelFile:
          "unknown layers field 'keep_porb'"),
         (lambda doc: doc["spec"]["head"][0].update(bias=0.0), "unknown head field 'bias'"),
         (lambda doc: doc["weights"]["head:0"].update(grad=[0.0]), "unknown head:0 field 'grad'"),
+        (lambda doc: doc["weights"]["enc0:0"]["weight"][1].__setitem__(2, "0.5"),
+         "enc0:0 weight values must be numbers, got '0.5'"),
+        (lambda doc: doc["weights"]["head:0"]["weight"][0].__setitem__(0, True),
+         "head:0 weight values must be numbers, got True"),
+        (lambda doc: doc["weights"]["enc0:0"]["bias"].__setitem__(3, None),
+         "enc0:0 bias values must be numbers, got None"),
+        (lambda doc: doc["weights"]["enc0:0"]["weight"][5].pop(),
+         "enc0:0 weight is ragged: its rows differ in length"),
     ], ids=["no-spec", "no-in_dim", "no-neuron_params", "version-7", "no-version",
             "layer-share_tag", "kind-quantum", "kind-spiking", "no-kind", "no-gamma",
             "unused-weights", "neuron-field-typo", "in_dim-float", "out_dim-string",
@@ -521,7 +529,8 @@ class TestModelFile:
             "slices-string", "slice-name-int", "slices-int", "neuron_params-list",
             "neuron_params-string", "spec-list", "encoders-object", "layers-object",
             "weights-list", "weight-entry-list", "top-level-typo", "spec-stray", "slice-stray",
-            "encoder-stray", "layer-typo", "head-layer-stray", "weight-entry-stray"])
+            "encoder-stray", "layer-typo", "head-layer-stray", "weight-entry-stray",
+            "weight-string", "weight-bool", "bias-null", "weight-ragged"])
     def test_malformed_file_names_file_and_field(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(path, minimal_spec(), init_weights(minimal_spec(), seed=0), NeuronParams())
