@@ -1,5 +1,5 @@
-"""Dataset handling: CSV ingestion, ``write_table`` (the one writer of every
-CSV output), a synthetic two-drug generator, and train/test splitting.
+"""Dataset handling: ``read_table`` and ``write_table`` (the one reader and the one
+writer of every CSV table), ``load_csv``, a synthetic generator and splitting.
 
 The synthetic generator stands in for a large combination-therapy benchmark
 at desk scale: input = [cell | drug_a | drug_b] with a target that is
@@ -11,6 +11,7 @@ variance has a closed form that tests can check against.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,47 +44,32 @@ def load_csv(path, target_column: str) -> Dataset:
     malformed cell in file order (non-numeric, or NaN or infinite) is
     reported with its data row number and column name.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for i, name in enumerate(header):
-            if not name:
-                raise DataFormatError(f"{path}: column {i + 1} has an empty name")
-            if name in header[:i]:
-                raise DataFormatError(f"{path}: duplicate column {name!r}")
-        if target_column not in header:
-            raise DataFormatError(f"{path}: target column {target_column!r} not found")
-        t_idx = header.index(target_column)
+    reader = read_table(path)
+    header = [h.strip() for h in next(reader)[1]]
+    for i, name in enumerate(header):
+        if not name:
+            raise DataFormatError(f"{path}: column {i + 1} has an empty name")
+        if name in header[:i]:
+            raise DataFormatError(f"{path}: duplicate column {name!r}")
+    if target_column not in header:
+        raise DataFormatError(f"{path}: target column {target_column!r} not found")
+    t_idx = header.index(target_column)
 
-        rows = []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for col, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {row_num}, column {col!r}: "
-                        f"non-numeric value {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(f"{path}: row {row_num}, column {col!r}: "
-                                          f"non-finite value {value!r}")
-                values.append(value)
-            rows.append(values)
+    rows = []
+    for row_num, row in reader:
+        values = []
+        for col, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataFormatError(f"{path}: row {row_num}, column {col!r}: "
+                                      f"non-numeric value {cell.strip()!r}") from None
+            if not math.isfinite(value):
+                raise DataFormatError(f"{path}: row {row_num}, column {col!r}: "
+                                      f"non-finite value {value!r}")
+            values.append(value)
+        rows.append(values)
 
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
     names = [h for i, h in enumerate(header) if i != t_idx]
     return Dataset(features=np.delete(table, t_idx, axis=1),
@@ -99,13 +85,47 @@ def save_csv(path, dataset: Dataset, target_column: str = "target") -> None:
 def write_table(path, header, rows, meta=None) -> None:
     """Write '# key=value' lines from ``meta``, then ``header`` and ``rows``
     as comma-separated lines, each ended by "\\n". A float cell is written as
-    its repr, which reads back exactly: pass Python floats, not numpy scalars."""
+    its repr, which reads back exactly: pass Python floats, not numpy scalars.
+    Meta that ``read_table`` could not give back is refused before any write."""
+    for key, val in (meta or {}).items():
+        if "=" in str(key) or {"\n", "\r"} & set(f"{key}{val}"):
+            raise ValueError(f"meta key {key!r}: '=' in a key or a line break cannot be read back")
     with open(path, "w", encoding="utf-8", newline="") as f:
         for key, val in (meta or {}).items():
             f.write(f"# {key}={val}\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_table(path):
+    """Read a ``write_table`` file line by line: yield ``(meta, header)``, ``meta``
+    from the leading '# key=value' lines split at the first '=' and stripped,
+    then ``(number, cells)`` per non-blank row, from 1 with blank lines counted.
+    No header, no rows or a row not as wide as the header is a DataFormatError."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        meta = {}
+        for line in f:
+            if line.strip() and not line.startswith("#"):
+                break
+            key, sep, val = line.lstrip("#").partition("=")
+            if sep:
+                meta[key.strip()] = val.strip()
+        else:
+            raise DataFormatError(f"{path}: empty file")
+        reader = csv.reader(itertools.chain([line], f))
+        header = next(reader)
+        yield meta, header
+        rows = 0
+        for number, cells in enumerate(reader, start=1):
+            if cells:
+                if len(cells) != len(header):
+                    raise DataFormatError(f"{path}: row {number}: expected {len(header)} "
+                                          f"fields, got {len(cells)}")
+                rows += 1
+                yield number, cells
+        if not rows:
+            raise DataFormatError(f"{path}: no data rows")
 
 
 def synth_combo(n: int, cell_dim: int = 8, drug_dim: int = 8,

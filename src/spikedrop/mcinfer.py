@@ -15,18 +15,18 @@ simulation (``snn._draw_means``, set up once per block for every observation:
 from exact spike times when no SoftLIF layer lies downstream of another, else
 stepped tick by tick). Both read the caller's ``network.Model`` uncopied, and
 ``predictive_distributions`` checks every argument; ``predictive_distribution``,
-the one-observation case, builds its model with ``network.convert``.
+the one-observation case, builds its model with ``network.convert``. A samples
+file is a ``data`` table, read and written there; its rows' meaning lives here.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_table
+from .data import read_table, write_table
 from .network import (InvalidNetworkError, Model, NetworkSpec, WeightStore, _draw_scales,
                       _forward, convert)
 from .neuron import NeuronParams
@@ -116,47 +116,30 @@ def write_samples(path, sample_sets, meta=None) -> None:
 
 
 def read_samples(path):
-    """Parse a samples file.
-
-    Returns ``(meta, groups)`` where groups maps observation_id to
-    ``(backend, draws)`` with draws ordered by draw_id; each observation must
-    hold draws 0..n-1 once each from one backend in BACKENDS, every prediction
-    finite, and the file at least one data row. Errors name the file and the
-    data row (from 1 after the header) or the observation.
-    """
-    meta = {}
+    """Parse a samples file (``data.read_table``) into ``(meta, groups)``, where
+    groups maps observation_id to ``(backend, draws)`` with draws ordered by
+    draw_id; each observation must hold draws 0..n-1 once each from one backend
+    in BACKENDS, every prediction finite, and the file at least one data row.
+    Errors name the file and the data row or the observation."""
+    reader = read_table(path)
+    meta, header = next(reader)
+    if header != ["observation_id", "draw_id", "backend", "prediction"]:
+        raise ValueError(f"{path}: unexpected samples header: {header}")
     groups = {}  # observation_id -> {draw_id: (backend, prediction)}
-    row_num = 0  # data rows count from 1; 0 until the header is read
-    with open(path, "r", encoding="utf-8") as f:
-        for row in csv.reader(line for line in f if line.strip()):
-            if row and row[0].startswith("#"):
-                text = ",".join(row).lstrip("#").strip()
-                if "=" in text:
-                    key, val = text.split("=", 1)
-                    meta[key.strip()] = val.strip()
-            elif row_num == 0:
-                if row != ["observation_id", "draw_id", "backend", "prediction"]:
-                    raise ValueError(f"{path}: unexpected samples header: {row}")
-                row_num = 1
-            else:
-                try:
-                    if len(row) != 4:
-                        raise ValueError(f"expected 4 fields, got {len(row)}")
-                    obs_id, draw_id, backend, pred = int(row[0]), int(row[1]), row[2], float(row[3])
-                    if backend not in BACKENDS:
-                        raise ValueError(f"unknown backend {backend!r}")
-                    if not math.isfinite(pred):
-                        raise ValueError(f"non-finite prediction {row[3]!r}")
-                    draws = groups.setdefault(obs_id, {})
-                    if draw_id in draws:
-                        raise ValueError(f"duplicate draw {draw_id} of observation {obs_id}")
-                    draws[draw_id] = (backend, pred)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: row {row_num}: {exc}") from None
-                row_num += 1
+    for row_num, row in reader:
+        try:
+            obs_id, draw_id, backend, pred = int(row[0]), int(row[1]), row[2], float(row[3])
+            if backend not in BACKENDS:
+                raise ValueError(f"unknown backend {backend!r}")
+            if not math.isfinite(pred):
+                raise ValueError(f"non-finite prediction {row[3]!r}")
+            draws = groups.setdefault(obs_id, {})
+            if draw_id in draws:
+                raise ValueError(f"duplicate draw {draw_id} of observation {obs_id}")
+            draws[draw_id] = (backend, pred)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_num}: {exc}") from None
 
-    if not groups:
-        raise ValueError(f"{path}: no data rows")
     out = {}
     for obs_id, draws in groups.items():
         missing = set(range(len(draws))) - set(draws)

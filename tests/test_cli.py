@@ -543,8 +543,13 @@ class TestCompare:
         (lambda rows: rows[:8] + [rows[8].replace(",analog,", ",quantum,")] + rows[9:],
          "row 9: unknown backend 'quantum'"),
         (lambda rows: [], "no data rows"),
+        # meta lines are read only before the header
+        (lambda rows: rows[:2] + ["# seed=7"] + rows[2:], "row 3: expected 4 fields, got 1"),
+        # a blank line counts toward row numbers
+        (lambda rows: rows[:2] + ["", rows[2].rsplit(",", 1)[0] + ",nan"] + rows[3:],
+         "row 4: non-finite prediction 'nan'"),
     ], ids=["short-row", "duplicate-draw", "missing-draw", "nan", "inf", "unknown-backend",
-            "header-only"])
+            "header-only", "meta-after-header", "blank-line"])
     def test_malformed_samples_file_names_file_and_row(self, workspace, tmp_path, capsys,
                                                        defect, message):
         a = self.make_samples(workspace, tmp_path, 0, "good.csv")

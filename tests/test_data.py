@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,22 @@ class TestLoadCsv:
             load_csv(path, "target")
         assert str(exc.value) == f"{path}: column {position} has an empty name"
 
+    def test_leading_meta_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# source=lab\n# note\nx,target\n1,2\n")
+        ds = load_csv(path, "target")
+        assert ds.feature_names == ["x"]
+        assert np.array_equal(ds.features, [[1.0]]) and np.array_equal(ds.targets, [2.0])
+
+    @pytest.mark.parametrize("read", [lambda p: load_csv(p, "target"), read_samples],
+                             ids=["data", "samples"])
+    def test_empty_file_is_refused(self, tmp_path, read):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: empty file"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,target\n1,2,3\n4,5\n")
@@ -139,6 +156,17 @@ class TestTableWriters:
                     [i, i * 0.001, v] for i, v in enumerate(trace.tolist())]
             elif name == "history.csv":
                 assert np.array_equal(np.array(rows[1:], dtype=float), history, equal_nan=True)
+
+    @pytest.mark.parametrize("meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"a=b": "c"},
+                                      {"a\nb": "c"}],
+                             ids=["newline-in-value", "cr-in-value", "equals-in-key",
+                                  "newline-in-key"])
+    def test_meta_that_cannot_be_read_back_is_refused_before_writing(self, tmp_path, meta):
+        path = tmp_path / "samples.csv"
+        (key,) = meta
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            write_samples(path, [SampleSet(0, np.array([1.0]), "analog")], meta)
+        assert not path.exists()
 
 
 class TestSynthCombo:

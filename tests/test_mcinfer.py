@@ -328,6 +328,17 @@ class TestRunLevelDraws:
             assert np.array_equal(ss.draws, want.draws)
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an explicit example: ``draw`` returns the
+    given values in turn, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 class TestSamplesFile:
     def test_round_trip(self, tmp_path):
         sets = [
@@ -348,7 +359,10 @@ class TestSamplesFile:
     @given(ids=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=4, unique=True),
            data=st.data(),
            meta=st.dictionaries(st.text("abcdefghij_", min_size=1, max_size=8),
-                                st.text("abcdefghij0123456789._-", max_size=12), max_size=3))
+                                st.text('abcdefghij0123456789._-,"=#', max_size=12), max_size=3))
+    # meta values the CSV parser would split or unquote
+    @example(ids=[0], data=_Draws([0.5], "analog"), meta={"note": 'a,"b'})
+    @example(ids=[3], data=_Draws([1.0, -2.0], "spiking"), meta={"note": 'x,"y,z', "s": "1"})
     def test_round_trip_reproduces_every_bit(self, ids, data, meta):
         sets = [SampleSet(obs_id,
                           np.array(data.draw(st.lists(st.floats(allow_nan=False,
