@@ -88,8 +88,11 @@ def write_table(path, header, rows, meta=None) -> None:
     its repr, which reads back exactly: pass Python floats, not numpy scalars.
     Meta that ``read_table`` could not give back is refused before any write."""
     for key, val in (meta or {}).items():
-        if "=" in str(key) or {"\n", "\r"} & set(f"{key}{val}"):
-            raise ValueError(f"meta key {key!r}: '=' in a key or a line break cannot be read back")
+        key_text, val_text = str(key), str(val)
+        if ("=" in key_text or {"\n", "\r"} & set(key_text + val_text)
+                or key_text != key_text.strip() or val_text != val_text.strip()):
+            raise ValueError(f"meta key {key!r}: '=' in a key, a line break or leading or "
+                             f"trailing whitespace cannot be read back")
     with open(path, "w", encoding="utf-8", newline="") as f:
         for key, val in (meta or {}).items():
             f.write(f"# {key}={val}\n")
@@ -102,7 +105,8 @@ def read_table(path):
     """Read a ``write_table`` file line by line: yield ``(meta, header)``, ``meta``
     from the leading '# key=value' lines split at the first '=' and stripped,
     then ``(number, cells)`` per non-blank row, from 1 with blank lines counted.
-    No header, no rows or a row not as wide as the header is a DataFormatError."""
+    No header, no rows, a row not as wide as the header or a cell that is not
+    well-formed CSV (such as an unterminated quote) is a DataFormatError."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         meta = {}
         for line in f:
@@ -113,17 +117,22 @@ def read_table(path):
                 meta[key.strip()] = val.strip()
         else:
             raise DataFormatError(f"{path}: empty file")
-        reader = csv.reader(itertools.chain([line], f))
-        header = next(reader)
-        yield meta, header
-        rows = 0
-        for number, cells in enumerate(reader, start=1):
-            if cells:
-                if len(cells) != len(header):
-                    raise DataFormatError(f"{path}: row {number}: expected {len(header)} "
-                                          f"fields, got {len(cells)}")
-                rows += 1
-                yield number, cells
+        reader = csv.reader(itertools.chain([line], f), strict=True)
+        number = None  # while the header is read
+        try:
+            header = next(reader)
+            yield meta, header
+            number = rows = 0
+            for number, cells in enumerate(reader, start=1):
+                if cells:
+                    if len(cells) != len(header):
+                        raise DataFormatError(f"{path}: row {number}: expected {len(header)} "
+                                              f"fields, got {len(cells)}")
+                    rows += 1
+                    yield number, cells
+        except csv.Error as exc:
+            where = "header" if number is None else f"row {number + 1}"
+            raise DataFormatError(f"{path}: {where}: {exc}") from None
         if not rows:
             raise DataFormatError(f"{path}: no data rows")
 

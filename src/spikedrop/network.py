@@ -13,6 +13,9 @@ mask seeds, a block of draws at a time (``_draw_scales``): Monte-Carlo
 inference and training's minibatches both draw this way. A mask set is a
 plain dict from layer instance key to a 0/1 vector. The mask seed rule is
 written once, in ``_draw_scales``; ``sample_masks`` is its one-seed case.
+Its bits are those of ``default_rng(seed)``, computed for a whole block of
+seeds at once by ``_stream_uniforms``, which imports ``numpy.random`` only
+when it runs.
 
 ``convert`` is the one checked constructor of ``Model``, the record both
 backends run; it holds the caller's spec and weights uncopied.
@@ -38,6 +41,7 @@ both documents, by name.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -326,12 +330,92 @@ def _stream_uniforms(seeds, widths) -> list:
     width, in order, one per layer instance the caller draws for, in
     layer_instances order. Row k of the blocks laid side by side is
     ``default_rng(seeds[k]).random(sum(widths))``: the bits of one
-    ``random(width)`` call per such layer, in that order."""
+    ``random(width)`` call per such layer, in that order.
+
+    The whole block is seeded at once: ``_seed_words`` hashes every seed as
+    ``SeedSequence`` does, and one PCG64 is set to each seed's state in
+    turn. PCG64 seeds itself with two steps of its generator from state 0,
+    adding the seed between them; ``random`` turns each 64-bit output into
+    ``(raw >> 11) * 2**-53``."""
     bounds = list(accumulate(widths, initial=0))
-    uniform = np.empty((len(seeds), bounds[-1]))
-    for k, seed in enumerate(seeds):
-        uniform[k] = np.random.default_rng(seed).random(bounds[-1])
+    seeds = [operator.index(seed) for seed in seeds]
+    raw = np.empty((len(seeds), bounds[-1]), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for k, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(_seed_words(seeds).tolist()):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        pcg.update(inc=inc, state=((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128)
+        bitgen.state = state
+        raw[k] = bitgen.random_raw(bounds[-1])
+    uniform = (raw >> np.uint64(11)) * 2.0 ** -53
     return [uniform[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+# numpy's SeedSequence hash with its default pool of 4 words, and PCG64's
+# multiplier. Every hash call steps a 32-bit constant that does not depend
+# on the data, so the constants are listed once.
+_POOL = 4
+_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The hash constant's first ``n`` values: ``init``, then each times
+    ``mult``, mod 2**32."""
+    values = [init]
+    for _ in range(n - 1):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)
+
+
+# mixing the pool from up to 4 entropy words takes 16 hash calls, and
+# generate_state(4, uint64) hashes 8 words; call j takes constants j and j + 1
+_POOL_CONSTANTS = _hash_constants(_MIX_INIT, _MIX_MULT, 4 * _POOL + 1)
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` on uint32 arrays, one call per column of
+    the last axis: call j xors ``constants[j]`` and multiplies by
+    ``constants[j + 1]``."""
+    value = (value ^ constants[:-1]) * constants[1:]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_words(seeds: list) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed, as
+    a (len(seeds), 4) uint64 array: PCG64's seed (high, low) and stream
+    (high, low) words. A seed is entropy of ``ceil(bits / 32)`` little-endian
+    32-bit words; the words past the pool's 4 are mixed in, 4 hash calls
+    each, only for the seeds that have them."""
+    lengths = np.array([(seed.bit_length() + 31) // 32 for seed in seeds], dtype=int)
+    width = max(_POOL, int(lengths.max(initial=0)))
+    words = np.frombuffer(b"".join(seed.to_bytes(4 * width, "little") for seed in seeds),
+                          dtype="<u4").reshape(len(seeds), width)
+    constants = (_POOL_CONSTANTS if width == _POOL
+                 else _hash_constants(_MIX_INIT, _MIX_MULT, 4 * width + 1))
+    pool = _hashmix(words[:, :_POOL], constants[:_POOL + 1])
+    call = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1],
+                                                   constants[call:call + _POOL]))
+        call += _POOL - 1
+    for src in range(_POOL, width):
+        rows = lengths > src
+        pool[rows] = _mix(pool[rows], _hashmix(words[rows, src:src + 1],
+                                               constants[call:call + _POOL + 1]))
+        call += _POOL
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTANTS)
+    return state.astype("<u4").view("<u8")
 
 
 class LayerRecord(NamedTuple):

@@ -3,7 +3,9 @@
 Dropout is the only regularizer: each minibatch draws one set of
 inverted-dropout scales from one mask seed (``network._draw_scales``, the rule
 Monte-Carlo inference draws by), and ``network._forward`` applies that one
-draw to every row of the batch and keeps a record list. The backward pass
+draw to every row of the batch and keeps a record list. An epoch's mask
+seeds are drawn, and seeded, as one block: ``integers(2**63, size=n)`` gives
+the same values as ``n`` scalar calls. The backward pass
 takes no masks: it replays each layer's dropout scale from its record, and
 builds each SoftLIF layer's derivative from the intermediates kept there
 (``neuron._softlif``), so no ``exp`` or ``log1p`` is evaluated twice. The
@@ -184,9 +186,11 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig,
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+        starts = range(0, n, config.batch_size)
+        epoch_scales = _draw_scales(spec, rng.integers(2 ** 63, size=len(starts)))
+        for b, start in enumerate(starts):
             idx = perm[start: start + config.batch_size]
-            scales = _draw_scales(spec, [int(rng.integers(2 ** 63))])
+            scales = [None if s is None else s[b:b + 1] for s in epoch_scales]
             records = []
             out = _forward(spec, weights, x[idx], scales, neuron_params, records)
             batch_loss = loss_mse(out, y[idx])

@@ -158,9 +158,11 @@ class TestTableWriters:
                 assert np.array_equal(np.array(rows[1:], dtype=float), history, equal_nan=True)
 
     @pytest.mark.parametrize("meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"a=b": "c"},
-                                      {"a\nb": "c"}],
+                                      {"a\nb": "c"}, {" k": "v"}, {"k ": "v"},
+                                      {"k": " v"}, {"k": "v\t"}],
                              ids=["newline-in-value", "cr-in-value", "equals-in-key",
-                                  "newline-in-key"])
+                                  "newline-in-key", "space-before-key", "space-after-key",
+                                  "space-before-value", "tab-after-value"])
     def test_meta_that_cannot_be_read_back_is_refused_before_writing(self, tmp_path, meta):
         path = tmp_path / "samples.csv"
         (key,) = meta

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikedrop.data import DataFormatError
 from spikedrop.mcinfer import (
     _BLOCK_DRAWS,
     BACKENDS,
@@ -387,6 +388,18 @@ class TestSamplesFile:
         path = tmp_path / "s.csv"
         write_samples(path, [SampleSet(3, np.array([0.5, value]), "spiking")])
         with pytest.raises(ValueError, match=f"{path}: row 2: non-finite prediction"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("last_line, message", [
+        ('0,1,analog,"2.0', "unexpected end of data"),
+        ('0,1,analog,"2.0"5', "',' expected after '\"'"),
+    ], ids=["unterminated-quote", "text-after-closing-quote"])
+    def test_malformed_csv_is_refused_naming_file_and_row(self, tmp_path, last_line, message):
+        # a lenient CSV parser reads the first as prediction 2.0
+        path = tmp_path / "s.csv"
+        path.write_text("# backend=analog\nobservation_id,draw_id,backend,prediction\n"
+                        f"0,0,analog,1.0\n\n{last_line}")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: row 3: {message}")):
             read_samples(path)
 
     def test_draw_order_restored(self, tmp_path):

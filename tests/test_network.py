@@ -1,16 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spikedrop.network import (
     _draw_scales,
     _layer_scales,
+    _stream_uniforms,
     EncoderSpec,
     InvalidNetworkError,
     LayerSpec,
@@ -384,6 +388,46 @@ class TestSampleMasks:
                 assert block.shape == (3, mask.size)
                 assert np.array_equal(block[1], mask / keep)
                 assert np.array_equal(block[2], mask / keep)
+
+
+
+# seeds of 1 to 7 32-bit words: SeedSequence mixes words past its pool of 4
+# in a loop of its own, run per seed by its word count
+SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                  st.integers(2 ** 64, 2 ** 128 - 1), st.integers(2 ** 128, 2 ** 200))
+
+
+class TestStreamUniforms:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=8),
+           widths=st.lists(st.integers(0, 20), max_size=4))
+    @example(seeds=[0, 2 ** 32, 2 ** 64, 2 ** 96, 2 ** 128, 2 ** 160, 2 ** 192, 2 ** 200],
+             widths=[3, 0, 5])
+    @example(seeds=[2 ** 200], widths=[7])
+    @example(seeds=[5, 6], widths=[0, 0])
+    @example(seeds=[9], widths=[])
+    def test_rows_are_default_rng_streams_bitwise(self, seeds, widths):
+        blocks = _stream_uniforms(seeds, widths)
+        assert [block.shape for block in blocks] == [(len(seeds), w) for w in widths]
+        for k, seed in enumerate(seeds):
+            stream = np.random.default_rng(seed)
+            for block, width in zip(blocks, widths):
+                assert block[k].tobytes() == stream.random(width).tobytes()
+
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        # numpy.random is loaded only when a draw is seeded; numpy releases
+        # that import it eagerly themselves are held to no more than that
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import spikedrop, spikedrop.cli; "
+                "print(before, 'numpy.random' in sys.modules)")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
 
 
 class TestModelFile:

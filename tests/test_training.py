@@ -375,6 +375,16 @@ class TestTrain:
         assert weights_equal(got_w, weights)
         assert got_h == want_h
 
+    @pytest.mark.parametrize("seed, n", [(0, 1), (3, 50), (2 ** 40, 7)])
+    def test_a_block_of_minibatch_seeds_is_the_scalar_draws(self, seed, n):
+        # train draws an epoch's minibatch seeds as one block; the generator
+        # yields the same values, and ends in the same state, as one call per
+        # minibatch
+        block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert block.integers(2 ** 63, size=n).tolist() == [int(scalar.integers(2 ** 63))
+                                                           for _ in range(n)]
+        assert np.array_equal(block.permutation(20), scalar.permutation(20))
+
     def test_eval_history_column(self):
         ds = synth_combo(100, 2, 2, seed=6)
         holdout = synth_combo(30, 2, 2, seed=7)
