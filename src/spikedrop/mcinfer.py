@@ -10,9 +10,11 @@ run at the all-zero start. A run (``predictive_distributions``: every
 observation of a file, row r from base seed ``seed + r * n_draws``) evaluates
 its draws in blocks of at most ``_BLOCK_DRAWS``, each block for every
 observation in turn, its dropout scales drawn in one call: the analog draws
-of a block are one batched forward pass, the spiking draws one batched
-simulation (``snn._draw_means``, set up once per block for every observation:
-from exact spike times when no SoftLIF layer lies downstream of another, else
+of a block are one forward pass over the observation's one row, each path
+widened to a row per draw at its first dropout scale (so the layers upstream
+of it run once per observation), the spiking draws one batched simulation
+(``snn._draw_means``, set up once per block for every observation: from
+exact spike times when no SoftLIF layer lies downstream of another, else
 stepped tick by tick). Both read the caller's ``network.Model`` uncopied, and
 ``predictive_distributions`` checks every argument; ``predictive_distribution``,
 the one-observation case, builds its model with ``network.convert``. A samples
@@ -95,8 +97,9 @@ def predictive_distributions(model: Model, rows: np.ndarray, n_draws: int, seed:
             means = _draw_means(model, sim, first, n)
         else:
             def means(obs, scales):
-                return _forward(spec, model.weights, np.broadcast_to(obs, (n, obs.size)),
-                                scales, model.neuron_params)[:, 0]
+                # one row: each path widens to n rows at its first dropout scale
+                return _forward(spec, model.weights, obs[None], scales,
+                                model.neuron_params)[:, 0]
         for r, obs in enumerate(rows):
             base = seed + r * n_draws + first
             draws[r, first:first + n] = means(obs, _draw_scales(spec, range(base, base + n)))

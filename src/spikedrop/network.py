@@ -23,7 +23,9 @@ backends run; it holds the caller's spec and weights uncopied.
 One private network pass (``_pass``) applies every layer for both backends;
 its caller supplies only the neuron of the SoftLIF layers. ``_forward``
 supplies the SoftLIF curve (``neuron._softlif``), on rows that may each
-carry their own scales, and ``snn`` the LIF neuron. ``forward``
+carry their own scales, and ``snn`` the LIF neuron. The rows may also be one
+row under scales of a row per draw: numpy broadcasting widens each path at
+its first dropout scale, so the layers upstream of it run once. ``forward``
 and training's minibatch pass ask ``_forward`` for layer records (each
 layer's input and ``neuron._softlif`` intermediates, from which
 ``training.backward`` builds the gradient); Monte-Carlo analog draws and
@@ -485,12 +487,14 @@ def forward(spec: NetworkSpec, weights: WeightStore, input,
 
 def _forward(spec: NetworkSpec, weights: WeightStore, rows: np.ndarray,
              scales: list, params: NeuronParams, records: Optional[list] = None) -> np.ndarray:
-    """The analog pass over ``rows`` (n, input_dim), unchecked; returns the
+    """The analog pass over ``rows`` (m, input_dim), unchecked; returns the
     (n, output_dim) output. ``scales`` holds per layer instance None or a
     scale of shape (out_dim,) or (1, out_dim), shared by every row, or
-    (n, out_dim), one per row. Given a ``records`` list, appends one
-    LayerRecord per layer instance for backprop; passes that never
-    backpropagate leave it None and keep no per-layer arrays alive."""
+    (n, out_dim), one per row, where m is n or 1: one row widens to n rows
+    at its path's first such scale, and n is m where no scale has n rows.
+    Given a ``records`` list, appends one LayerRecord per layer instance for
+    backprop; passes that never backpropagate leave it None and keep no
+    per-layer arrays alive."""
     return _pass(spec, weights, scales, lambda i, current: _softlif(current, params),
                  records)(_gather_inputs(spec, rows))
 
@@ -506,8 +510,10 @@ def _pass(spec: NetworkSpec, weights: WeightStore, scales: list, rate,
     which walks each tower over its input from ``_gather_inputs``, then the
     head. Layer instance ``i`` is its affine map, then on a SoftLIF layer
     ``rate(i, current)`` (the output and its ``_softlif`` parts or None),
-    then its dropout scale ``scales[i]``. Given a ``records`` list, ``run``
-    appends one LayerRecord per layer instance."""
+    then its dropout scale ``scales[i]``, which may widen a one-row path
+    (``_forward``). The head reads the towers' outputs side by side, each
+    broadcast to the most rows any tower has. Given a ``records`` list,
+    ``run`` appends one LayerRecord per layer instance."""
     layers = [(wkey, weights.weights[wkey], weights.biases[wkey], layer.activation == "softlif")
               for _, wkey, layer, _ in spec.layer_instances()]
     bounds = list(accumulate((len(enc.layers) for enc in spec.encoders), initial=0))
@@ -526,8 +532,14 @@ def _pass(spec: NetworkSpec, weights: WeightStore, scales: list, rate,
 
     def run(inputs):
         outs = [walk(a, lo, hi) for a, lo, hi in zip(inputs, bounds, bounds[1:])]
-        return walk(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1),
-                    bounds[-1], len(layers))
+        if len(outs) > 1:
+            # a tower without dropout may still be one row; broadcast only it,
+            # since a view per tower costs more than the concatenation
+            n = max(len(out) for out in outs)
+            outs = [np.concatenate([out if len(out) == n else
+                                    np.broadcast_to(out, (n, out.shape[1])) for out in outs],
+                                   axis=-1)]
+        return walk(outs[0], bounds[-1], len(layers))
 
     return run
 

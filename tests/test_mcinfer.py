@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikedrop import network
 from spikedrop.data import DataFormatError
 from spikedrop.mcinfer import (
     _BLOCK_DRAWS,
@@ -25,6 +26,7 @@ from spikedrop.network import (
     InvalidNetworkError,
     LayerSpec,
     NetworkSpec,
+    combo_spec,
     convert,
     forward,
     init_weights,
@@ -233,10 +235,12 @@ def per_draw_forward(spec, weights, obs, n_draws, base_seed):
 
 
 class TestBatchedAnalogDraws:
-    """Analog predictive draws of an observation are one batched forward pass
-    per block; per-draw forward is the reference. A batched matmul sums in
-    another order than a one-row one, so draws agree to 1e-12, and bitwise
-    where every matmul is one product."""
+    """Analog predictive draws of an observation are one forward pass per
+    block; per-draw forward is the reference. The layers upstream of a path's
+    first dropout scale run on the observation's one row, as in forward; only
+    later layers run on a row per draw. A batched matmul sums in another
+    order than a one-row one, so draws agree to 1e-12; bitwise where every
+    matmul is one product, or where no layer drops out."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=st.sampled_from(["softlif", "linear"]).flatmap(
@@ -252,6 +256,15 @@ class TestBatchedAnalogDraws:
         head=[LayerSpec(17, 8, "softlif", 0.95), LayerSpec(8, 1, "linear")],
         output_dim=1,
     ), seed=5, n_draws=6)
+    @example(spec=NetworkSpec(  # a tower without dropout stays one row up to the head
+        input_slices=[("c", 0, 2), ("a", 2, 3), ("b", 5, 3)],
+        encoders=[EncoderSpec(["c"], [LayerSpec(2, 4, "softlif", 1.0),
+                                      LayerSpec(4, 3, "softlif", 1.0)]),
+                  EncoderSpec(["a"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d"),
+                  EncoderSpec(["b"], [LayerSpec(3, 6, "softlif", 0.5)], share_tag="d")],
+        head=[LayerSpec(15, 8, "softlif", 0.8), LayerSpec(8, 1, "linear")],
+        output_dim=1,
+    ), seed=3, n_draws=5)
     def test_draws_match_per_draw_forward(self, spec, seed, n_draws):
         w = init_weights(spec, seed=seed)
         x = np.random.default_rng(seed).normal(size=spec.input_dim)
@@ -287,6 +300,35 @@ class TestBatchedAnalogDraws:
         want = per_draw_forward(spec, w, x, 40, 40)
         assert len(np.unique(got)) > 2  # the draws differ: the masks act
         assert np.array_equal(got, want)
+
+    def test_draws_without_dropout_equal_forward_bitwise(self):
+        # every layer runs on the observation's one row, as forward does
+        spec = combo_spec(cell_dim=8, drug_dim=8, cell_hidden=48, drug_hidden=48,
+                          head_hidden=32, keep_prob=1.0)
+        w = init_weights(spec, seed=2)
+        rows = np.random.default_rng(2).normal(size=(3, spec.input_dim))
+        sets = predictive_distributions(convert(spec, w, P), rows, 100, 0, "analog")
+        for obs, ss in zip(rows, sets):
+            want = forward(spec, w, obs, None, P)[0][0]
+            assert np.array_equal(ss.draws, np.full(100, want))
+
+    def test_layers_upstream_of_dropout_run_once_per_observation(self, monkeypatch):
+        # the default nested spec: a SoftLIF head over three SoftLIF towers,
+        # every hidden layer dropping out
+        spec = combo_spec(cell_dim=8, drug_dim=8)
+        w = init_weights(spec, seed=1)
+        rows_seen = []
+        softlif = network._softlif
+
+        def recording(current, params):
+            rows_seen.append(len(current))
+            return softlif(current, params)
+
+        monkeypatch.setattr(network, "_softlif", recording)
+        n_draws = 7
+        predictive_distributions(convert(spec, w, P), np.full((2, spec.input_dim), 0.5),
+                                 n_draws, 0, "analog")
+        assert rows_seen == [1, 1, 1, n_draws] * 2  # three towers, then the head
 
     def test_draws_independent_of_draw_count(self):
         spec, weights = four_neuron_net(keep_prob=0.5)
