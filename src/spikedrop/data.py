@@ -105,9 +105,10 @@ def read_table(path):
     """Read a ``write_table`` file line by line: yield ``(meta, header)``, ``meta``
     from the leading '# key=value' lines split at the first '=' and stripped,
     then ``(number, cells)`` per non-blank row, from 1 with blank lines counted.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     No header, no rows, a row not as wide as the header or a cell that is not
     well-formed CSV (such as an unterminated quote) is a DataFormatError."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         meta = {}
         for line in f:
             if line.strip() and not line.startswith("#"):

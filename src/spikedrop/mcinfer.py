@@ -13,12 +13,14 @@ observation in turn, its dropout scales drawn in one call: the analog draws
 of a block are one forward pass over the observation's one row, each path
 widened to a row per draw at its first dropout scale (so the layers upstream
 of it run once per observation), the spiking draws one batched simulation
-(``snn._draw_means``, set up once per block for every observation: from
-exact spike times when no SoftLIF layer lies downstream of another, else
-stepped tick by tick). Both read the caller's ``network.Model`` uncopied, and
-``predictive_distributions`` checks every argument; ``predictive_distribution``,
-the one-observation case, builds its model with ``network.convert``. A samples
-file is a ``data`` table, read and written there; its rows' meaning lives here.
+from the same one row (``snn._draw_means``, set up once per block for every
+observation: from exact spike times when no SoftLIF layer lies downstream of
+another, else stepped tick by tick). A pass that never widens (no dropout
+and no spiking layer) gives one row, which fills the block's draws. Both
+read the caller's ``network.Model`` uncopied, and ``predictive_distributions``
+checks every argument; ``predictive_distribution``, the one-observation
+case, builds its model with ``network.convert``. A samples file is a
+``data`` table, read and written there; its rows' meaning lives here.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ inference and training's minibatches both draw this way. A mask set is a
 plain dict from layer instance key to a 0/1 vector. The mask seed rule is
 written once, in ``_draw_scales``; ``sample_masks`` is its one-seed case.
 Its bits are those of ``default_rng(seed)``, computed for a whole block of
-seeds at once by ``_stream_uniforms``, which imports ``numpy.random`` only
+seeds by ``_stream_uniforms``: it hashes every seed at once, seeds numpy's
+own PCG64 from each seed's hash words, and imports ``numpy.random`` only
 when it runs.
 
 ``convert`` is the one checked constructor of ``Model``, the record both
@@ -25,12 +26,12 @@ its caller supplies only the neuron of the SoftLIF layers. ``_forward``
 supplies the SoftLIF curve (``neuron._softlif``), on rows that may each
 carry their own scales, and ``snn`` the LIF neuron. The rows may also be one
 row under scales of a row per draw: numpy broadcasting widens each path at
-its first dropout scale, so the layers upstream of it run once. ``forward``
-and training's minibatch pass ask ``_forward`` for layer records (each
-layer's input and ``neuron._softlif`` intermediates, from which
-``training.backward`` builds the gradient); Monte-Carlo analog draws and
-training's epoch-end losses call ``_forward`` without a record list and keep
-none.
+its first per-draw array (a dropout scale, or in ``snn`` the LIF state of a
+row per draw), so the layers upstream of it run once. ``forward`` and
+training's minibatch pass ask ``_forward`` for layer records (each layer's
+input and ``neuron._softlif`` intermediates, from which ``training.backward``
+builds the gradient); Monte-Carlo analog draws and training's epoch-end
+losses call ``_forward`` without a record list and keep none.
 
 Both documents are read and written here, and nowhere else: the model file
 (``save_model``, ``load_model``) and the network config (``save_config``,
@@ -334,34 +335,42 @@ def _stream_uniforms(seeds, widths) -> list:
     ``default_rng(seeds[k]).random(sum(widths))``: the bits of one
     ``random(width)`` call per such layer, in that order.
 
-    The whole block is seeded at once: ``_seed_words`` hashes every seed as
-    ``SeedSequence`` does, and one PCG64 is set to each seed's state in
-    turn. PCG64 seeds itself with two steps of its generator from state 0,
-    adding the seed between them; ``random`` turns each 64-bit output into
-    ``(raw >> 11) * 2**-53``."""
+    The whole block is hashed at once: ``_seed_words`` hashes every seed as
+    ``SeedSequence`` does, and numpy's PCG64 is seeded from each seed's hash
+    words in turn, through ``_SeedWords``; ``random`` turns each 64-bit
+    output into ``(raw >> 11) * 2**-53``."""
+    # imported and registered here, so importing the package leaves
+    # numpy.random unloaded
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedWords)
     bounds = list(accumulate(widths, initial=0))
     seeds = [operator.index(seed) for seed in seeds]
     raw = np.empty((len(seeds), bounds[-1]), dtype=np.uint64)
-    bitgen = np.random.PCG64(0)
-    pcg = {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for k, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(_seed_words(seeds).tolist()):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        pcg.update(inc=inc, state=((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128)
-        bitgen.state = state
-        raw[k] = bitgen.random_raw(bounds[-1])
+    for k, words in enumerate(_seed_words(seeds)):
+        raw[k] = PCG64(_SeedWords(words)).random_raw(bounds[-1])
     uniform = (raw >> np.uint64(11)) * 2.0 ** -53
     return [uniform[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-# numpy's SeedSequence hash with its default pool of 4 words, and PCG64's
-# multiplier. Every hash call steps a 32-bit constant that does not depend
-# on the data, so the constants are listed once.
+class _SeedWords:
+    """One seed's row of ``_seed_words``, as the seed sequence numpy's PCG64
+    reads (registered as an ``ISeedSequence`` by ``_stream_uniforms``): PCG64
+    asks for exactly ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return self.words
+
+
+# numpy's SeedSequence hash with its default pool of 4 words. Every hash call
+# steps a 32-bit constant that does not depend on the data, so the constants
+# are listed once.
 _POOL = 4
 _MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -394,10 +403,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _seed_words(seeds: list) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed, as
-    a (len(seeds), 4) uint64 array: PCG64's seed (high, low) and stream
-    (high, low) words. A seed is entropy of ``ceil(bits / 32)`` little-endian
-    32-bit words; the words past the pool's 4 are mixed in, 4 hash calls
-    each, only for the seeds that have them."""
+    a (len(seeds), 4) uint64 array. A seed is entropy of ``ceil(bits / 32)``
+    little-endian 32-bit words; the words past the pool's 4 are mixed in, 4
+    hash calls each, only for the seeds that have them."""
     lengths = np.array([(seed.bit_length() + 31) // 32 for seed in seeds], dtype=int)
     width = max(_POOL, int(lengths.max(initial=0)))
     words = np.frombuffer(b"".join(seed.to_bytes(4 * width, "little") for seed in seeds),

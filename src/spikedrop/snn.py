@@ -16,10 +16,13 @@ dropped neuron contributes exactly ``+0.0`` downstream.
 The Monte-Carlo draws of one observation are evaluated together, each
 layer's state held as a (draws, width) array, one row per draw and its
 dropout scales; every draw starts from its own initial voltages, by one seed
-rule (``_initial_voltages``: draw k from ``v0_seed + k``). ``simulate`` is
-the one-draw case of the clock-driven core (``_simulate_block``) and returns
-the per-tick output potential as a plain array, which ``summarize_trace``
-and ``write_trace`` read.
+rule (``_initial_voltages``: draw k from ``v0_seed + k``). Both paths below
+gather the observation's one row, and ``network._pass`` widens each path to
+a row per draw at its first per-draw array, a dropout scale or the LIF
+state, so a tower's current is the one-row product that ``simulate``
+computes. ``simulate`` is the one-draw case of the clock-driven core
+(``_simulate_block``) and returns the per-tick output potential as a plain
+array, which ``summarize_trace`` and ``write_trace`` read.
 
 Every observation of a run starts a block of draws from the same voltages, so
 ``mcinfer.predictive_distributions`` sets ``_draw_means`` up once per block
@@ -107,7 +110,8 @@ def _draw_means(net: Model, sim: SimConfig, first_draw: int, n: int):
     """Set up draws ``first_draw .. first_draw + n - 1`` of a scalar-output
     network once, their initial voltages and tail means computed here for
     every call; returns ``means(input, scales)``, the post-burn-in mean output
-    of those draws of one observation (``input`` (input_dim,), unchecked).
+    of those draws of one observation (``input`` (input_dim,), unchecked,
+    gathered as one row).
 
     When every path from input to output crosses at most one SoftLIF layer,
     one network pass collects every SoftLIF layer's (constant) current (none
@@ -132,11 +136,12 @@ def _draw_means(net: Model, sim: SimConfig, first_draw: int, n: int):
     start = np.hstack([empty, *v0.values()])
 
     def event_means(input, scales):
-        inputs = _gather_inputs(spec, np.broadcast_to(input, (n, input.size)))
+        inputs = _gather_inputs(spec, input[None])
         currents = {}
 
         def collect(i, current):
-            currents[i] = current
+            # a tower's current may be one row; _spike_train wants v0's shape
+            currents[i] = np.broadcast_to(current, v0[i].shape)
             return np.zeros_like(current), None  # a placeholder: only affine layers take it in
 
         _pass(spec, net.weights, scales, collect)(inputs)
@@ -279,7 +284,9 @@ def _mean_rate(t0: np.ndarray, k: np.ndarray, tail: np.ndarray) -> np.ndarray:
 def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
                     v0: dict, n: int) -> np.ndarray:
     """Step ``n`` LIF networks in lockstep, as one network whose state is an
-    (n, width) array per spiking layer; ``input`` (input_dim,) is unchecked.
+    (n, width) array per spiking layer; ``input`` (input_dim,) is unchecked
+    and gathered as one row, which each path widens to ``n`` rows at its
+    first per-draw array; an output that never widens fills every row.
 
     ``scales`` holds per layer instance None or the dropout scales, of shape
     (out_dim,) shared by every draw or (n, out_dim), one row per draw. Row k
@@ -301,8 +308,8 @@ def _simulate_block(net: Model, input: np.ndarray, scales: list, sim: SimConfig,
         return syn[i], None
 
     run = _pass(spec, net.weights, scales, lif)
-    # every draw sees the same input; gathered once, not per tick
-    inputs = _gather_inputs(spec, np.broadcast_to(input, (n, input.size)))
+    # the observation's one row, gathered once, not per tick
+    inputs = _gather_inputs(spec, input[None])
     traces = np.empty((n, sim.n_steps, spec.output_dim))
     for t in range(sim.n_steps):
         traces[:, t] = run(inputs)

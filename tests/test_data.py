@@ -92,6 +92,22 @@ class TestLoadCsv:
         assert ds.feature_names == ["x"]
         assert np.array_equal(ds.features, [[1.0]]) and np.array_equal(ds.targets, [2.0])
 
+    def test_byte_order_mark_is_skipped_before_the_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufefftarget,x\n2,1\n".encode())
+        ds = load_csv(path, "target")
+        assert ds.feature_names == ["x"]
+        assert np.array_equal(ds.features, [[1.0]]) and np.array_equal(ds.targets, [2.0])
+
+    def test_byte_order_mark_is_skipped_before_the_meta_lines(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_bytes("\ufeff# seed=3\nobservation_id,draw_id,backend,prediction\n"
+                         "0,0,analog,1.5\n".encode())
+        meta, groups = read_samples(path)
+        assert meta == {"seed": "3"}
+        assert groups[0][0] == "analog" and np.array_equal(groups[0][1], [1.5])
+
     @pytest.mark.parametrize("read", [lambda p: load_csv(p, "target"), read_samples],
                              ids=["data", "samples"])
     def test_empty_file_is_refused(self, tmp_path, read):

@@ -8,13 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spikedrop
-from spikedrop import snn
+from spikedrop import network, snn
 from spikedrop.mcinfer import _BLOCK_DRAWS, predictive_distribution
 from spikedrop.network import (
     EncoderSpec,
     LayerSpec,
     NetworkSpec,
     _draw_scales,
+    combo_spec,
     convert,
     forward,
     init_weights,
@@ -820,6 +821,65 @@ class TestEventDrivenDraws:
             output_dim=1,
         )
         assert snn._one_spiking_layer_per_path(spec) is eligible
+
+
+class TestOneRowPerObservation:
+    """Both spiking paths gather the observation's one row; the network pass
+    widens each path to a row per draw at its first per-draw array (a dropout
+    scale, or the LIF state started from each draw's voltages)."""
+
+    def record_shapes(self, monkeypatch, spec, n):
+        gathered, currents = [], []
+
+        def gather_inputs(spec, rows):
+            gathered.append(rows.shape)
+            return network._gather_inputs(spec, rows)
+
+        def lif_step(voltage, refractory, current, dt, params):
+            currents.append(np.shape(current))
+            return lif_step_arrays(voltage, refractory, current, dt, params)
+
+        monkeypatch.setattr(snn, "_gather_inputs", gather_inputs)
+        monkeypatch.setattr(snn, "lif_step_arrays", lif_step)
+        net = convert(spec, init_weights(spec, seed=0), P)
+        x = np.random.default_rng(0).normal(size=spec.input_dim)
+        sim = SimConfig(n_steps=20, burn_in_steps=5)
+        draws = snn._draw_means(net, sim, 0, n)(x, _draw_scales(spec, range(n)))
+        assert draws.shape == (n,)
+        return gathered, currents
+
+    def test_clock_path_widens_at_the_first_per_draw_array(self, monkeypatch):
+        spec = combo_spec(8, 8)
+        assert not snn._one_spiking_layer_per_path(spec)
+        gathered, currents = self.record_shapes(monkeypatch, spec, 7)
+        assert gathered == [(1, 24)]
+        # per tick: three towers on the one row, then the head on a row per draw
+        assert currents == [(1, 16), (1, 16), (1, 16), (7, 32)] * 20
+
+    def test_exact_path_gathers_one_row(self, monkeypatch):
+        spec = combo_spec(8, 8, head_hidden=0)
+        assert snn._one_spiking_layer_per_path(spec)
+        gathered, currents = self.record_shapes(monkeypatch, spec, 7)
+        assert gathered == [(1, 24)] and currents == []
+
+    def test_network_without_spikes_or_dropout_fills_every_draw(self):
+        # the pass never widens, so its one-row output fills the whole block
+        spec = NetworkSpec(
+            input_slices=[("x", 0, 3)],
+            encoders=[EncoderSpec(["x"], [LayerSpec(3, 4, "linear")])],
+            head=[LayerSpec(4, 1, "linear")],
+            output_dim=1,
+        )
+        w = init_weights(spec, seed=4)
+        net = convert(spec, w, P)
+        x = np.array([0.3, -1.2, 2.0])
+        sim = SimConfig(n_steps=30, burn_in_steps=10)
+        got = predictive_distribution(spec, w, P, x, 5, 9, "spiking", sim).draws
+        want = per_draw_means(net, x, [sample_masks(spec, 9 + k) for k in range(5)], sim)
+        assert got.shape == (5,)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        clock = clock_means(net, x, _draw_scales(spec, range(9, 14)), sim, 5)
+        assert np.allclose(clock, want, rtol=1e-12, atol=1e-12)
 
 
 class TestSummarizeTrace:
