@@ -37,6 +37,8 @@ _POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _KEEP_PROB = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_GAMMA = _checked(float, lambda v: 0 < v < math.inf and 1 / v < math.inf,
+                  "finite and > 0 with a finite reciprocal")
 
 
 # each simulation flag's dest, also its meta key, and the SimConfig field it sets
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-ref", type=_NONNEGATIVE_FLOAT, default=NeuronParams.tau_ref)
     p.add_argument("--tau-rc", type=_POSITIVE_FLOAT, default=NeuronParams.tau_rc)
     p.add_argument("--v-th", type=_POSITIVE_FLOAT, default=NeuronParams.v_th)
-    p.add_argument("--gamma", type=_POSITIVE_FLOAT, default=NeuronParams.gamma)
+    p.add_argument("--gamma", type=_GAMMA, default=NeuronParams.gamma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init_spec)
 

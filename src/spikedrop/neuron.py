@@ -16,6 +16,14 @@ tick's membrane decay, ``_softlif`` returns the SoftLIF rate with the
 intermediates ``(q, t, soft, rate)`` and ``_softlif_grad`` builds the
 derivative from them. The analog forward pass keeps them in its layer
 records, so the backward pass never evaluates an ``exp`` or ``log1p`` again.
+
+Training puts most SoftLIF currents far below threshold, where ``exp(-|q|)``
+is 0 or subnormal and numpy's ``exp`` and ``log1p`` take slow paths. The
+helpers keep those lanes off them and still return the bits of the formulas
+as written: a lane either gets the value numpy would have returned there
+(``exp`` is exactly 0 below ``_EXP_ZERO``; ``log1p(t) == t`` below
+``_LOG1P_IS_T``) or its value is discarded. Tests pin both numpy facts and
+compare every output with the formulas as written.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ import numpy as np
 # Below x/gamma = -30 the ratio sigmoid(x/gamma) / softplus(x) equals
 # 1/gamma to within exp(-30); used to avoid 0/0 in the rate gradient.
 _LOG_TINY = -30.0
+# the lanes _softplus_parts evaluates without exp or log1p (see its docstring)
+_EXP_ZERO = -746.0
+_LOG1P_IS_T = -38.0
+_TINY = 1e-17
 
 
 @dataclass(frozen=True)
@@ -49,8 +61,8 @@ class NeuronParams:
             raise ValueError("tau_rc must be > 0")
         if self.v_th <= 0:
             raise ValueError("v_th must be > 0")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if self.gamma <= 0 or math.isinf(1.0 / self.gamma):  # training divides by gamma
+            raise ValueError(f"gamma must be > 0 with a finite reciprocal, got {self.gamma!r}")
 
 
 def _check_fields(config) -> None:
@@ -74,12 +86,14 @@ def _as_array(x):
 def _rate(drive, params: NeuronParams):
     """``1 / (tau_ref + tau_rc * log1p(v_th / drive))`` where an array of
     drives is positive, else 0: the LIF rate of ``J - v_th`` or its softplus."""
-    # v_th / drive is inf (rate 0) where the drive is 0 or subnormal. Every
-    # element is evaluated and the positive ones kept: cheaper than indexing
-    # them, and the bits of evaluating them alone
+    # Every element is evaluated and the positive ones kept: cheaper than
+    # indexing them, and the bits of evaluating them alone. The others divide
+    # v_th by 1, so log1p never sees the inf of v_th / 0; a subnormal drive
+    # still overflows v_th / drive to inf (rate 0)
+    pos = drive > 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.where(drive > 0, 1.0 / (
-            params.tau_ref + params.tau_rc * np.log1p(params.v_th / drive)
+        return np.where(pos, 1.0 / (
+            params.tau_ref + params.tau_rc * np.log1p(params.v_th / np.where(pos, drive, 1.0))
         ), 0.0)
 
 
@@ -95,10 +109,28 @@ def lif_rate(current, params: NeuronParams = NeuronParams()):
 
 def _softplus_parts(x, gamma: float):
     """``q = x / gamma``, ``t = exp(-|q|)`` and the softplus value
-    ``gamma * (max(q, 0) + log1p(t))``: the one place they are computed."""
+    ``gamma * (max(q, 0) + log1p(t))``: the one place they are computed.
+
+    Bit for bit those formulas, with ``a = -|q|``:
+
+    - where ``a < _EXP_ZERO`` (-746), ``t`` is 0 and ``exp`` is not asked:
+      numpy's ``exp`` is exactly 0 below about -745.13, where ``e**a`` is under
+      half the smallest subnormal. Subnormal ``t``, for ``a`` in
+      [-745.13, -708.4], still comes from ``exp``.
+    - where ``a < _LOG1P_IS_T`` (-38), ``log1p(t)`` is ``t``: exact once
+      ``t < 2**-54``, and ``e**-38`` is 3.1e-17. ``log1p`` still runs on
+      every lane, on ``max(t, _TINY)``; ``_TINY`` (1e-17, below ``e**-38``)
+      lifts only the arguments whose results are not used, 0 and the
+      subnormals, off its slow path.
+
+    A NaN ``q`` stays NaN in every output.
+    """
     q = x / gamma
-    t = np.exp(-np.abs(q))
-    return q, t, gamma * (np.maximum(q, 0.0) + np.log1p(t))
+    a = -np.abs(q)
+    dead = a < _EXP_ZERO  # False on NaN, which exp passes on
+    t = np.where(dead, 0.0, np.exp(np.where(dead, 0.0, a)))
+    log1p_t = np.where(a < _LOG1P_IS_T, t, np.log1p(np.maximum(t, _TINY)))
+    return q, t, gamma * (np.maximum(q, 0.0) + log1p_t)
 
 
 def _softlif(current, params: NeuronParams):
@@ -112,9 +144,12 @@ def _softlif(current, params: NeuronParams):
 def _softlif_grad(parts, params: NeuronParams):
     """d rate / d current from the parts _softlif returned for those currents."""
     q, t, soft, rate = parts
-    # sigmoid(q) / soft -> 1/gamma as q -> -inf; branch to avoid 0/0 underflow
-    sig = np.where(q >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    ratio = np.where(q < _LOG_TINY, 1.0 / params.gamma, sig / np.where(soft > 0, soft, 1.0))
+    # sigmoid(q) / soft -> 1/gamma as q -> -inf; branch to avoid 0/0 underflow.
+    # Lanes below _LOG_TINY are discarded, so they divide normal numbers
+    # rather than subnormal ones; soft > 0 above it, as 1 / gamma is finite
+    flat = q < _LOG_TINY
+    sig = np.where(q >= 0, 1.0, np.maximum(t, _TINY)) / (1.0 + t)
+    ratio = np.where(flat, 1.0 / params.gamma, sig / np.where(flat, 1.0, soft))
     return rate * rate * params.tau_rc * params.v_th * ratio / (soft + params.v_th)
 
 

@@ -98,21 +98,43 @@ def weights_equal(a, b) -> bool:
 # Reference SoftLIF formulas, written out independently of spikedrop.neuron:
 # the library must reproduce every bit of them.
 
-def reference_softplus(x, gamma):
+def reference_softplus_parts(x, gamma):
+    """``q = x / gamma``, ``t = exp(-|q|)`` and the softplus
+    ``gamma * (max(q, 0) + log1p(t))``, each evaluated as written."""
     q = np.asarray(x, dtype=float) / gamma
-    return gamma * (np.maximum(q, 0.0) + np.log1p(np.exp(-np.abs(q))))
+    t = np.exp(-np.abs(q))
+    return q, t, gamma * (np.maximum(q, 0.0) + np.log1p(t))
+
+
+def reference_softplus(x, gamma):
+    return reference_softplus_parts(x, gamma)[2]
+
+
+def reference_rate(drive, params):
+    """The LIF rate of each positive drive, evaluated on those alone; 0 elsewhere."""
+    drive = np.asarray(drive, dtype=float)
+    out = np.zeros_like(drive)
+    pos = drive > 0
+    with np.errstate(over="ignore"):
+        out[pos] = 1.0 / (
+            params.tau_ref + params.tau_rc * np.log1p(params.v_th / drive[pos])
+        )
+    return out
+
+
+def reference_softlif_parts(current, params):
+    """``(q, t, soft, rate)`` of the SoftLIF curve at ``current``."""
+    q, t, soft = reference_softplus_parts(np.asarray(current, dtype=float) - params.v_th,
+                                          params.gamma)
+    return q, t, soft, reference_rate(soft, params)
 
 
 def reference_softlif_rate(current, params):
-    soft = np.asarray(reference_softplus(np.asarray(current, dtype=float) - params.v_th,
-                                         params.gamma))
-    out = np.zeros_like(soft)
-    pos = soft > 0
-    with np.errstate(over="ignore"):
-        out[pos] = 1.0 / (
-            params.tau_ref + params.tau_rc * np.log1p(params.v_th / soft[pos])
-        )
-    return out
+    return reference_softlif_parts(current, params)[3]
+
+
+def reference_lif_rate(current, params):
+    return reference_rate(np.asarray(current, dtype=float) - params.v_th, params)
 
 
 def reference_softlif_rate_grad(current, params):

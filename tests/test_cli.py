@@ -194,6 +194,23 @@ class TestTrain:
         assert f"{bad}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("kind", ["config", "model"])
+    def test_gamma_with_infinite_reciprocal_names_file(self, tmp_path, workspace, capsys, kind):
+        # training divides by gamma: a config or model whose 1 / gamma
+        # overflows is refused before any work, naming the file
+        _, data, config, model = workspace
+        doc = json.loads((config if kind == "config" else model).read_text())
+        doc["neuron_params"]["gamma"] = 1e-320
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        argv = (["train", "--spec", str(bad), "--out", str(out)] if kind == "config"
+                else ["infer", "--model", str(bad), "--draws", "2", "--out", str(out)])
+        assert main(argv + ["--data", str(data)]) == 1
+        assert (f"{bad}: gamma must be > 0 with a finite reciprocal, got 1e-320"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_neuron_fields_default_when_omitted(self, tmp_path, workspace):
         _, data, config, _ = workspace
         doc = json.loads(config.read_text())
@@ -235,6 +252,7 @@ class TestUsageErrors:
         (["init-spec", "--tau-rc", "0"], "--tau-rc"),
         (["init-spec", "--v-th", "-0.5"], "--v-th"),
         (["init-spec", "--gamma", "0"], "--gamma"),
+        (["init-spec", "--gamma", "1e-320"], "--gamma"),
         (["synth", "--noise-std", "-1"], "--noise-std"),
         (["trace", "--row", "-1"], "--row"),
         (["init-spec", "--tau-rc", "inf"], "--tau-rc"),
@@ -246,8 +264,8 @@ class TestUsageErrors:
             "batch", "lr", "dt-over-tausyn-infer", "dt-over-tausyn-trace", "keep-prob",
             "test-fraction", "seed-infer", "v0-seed", "mask-seed", "seed-synth", "seed-train",
             "n", "drug-dim", "cell-hidden", "head-hidden", "tau-ref", "tau-rc", "v-th",
-            "gamma", "noise-std", "row", "tau-rc-inf", "noise-std-inf", "dt-inf",
-            "tausyn-inf", "lr-inf"])
+            "gamma", "gamma-reciprocal", "noise-std", "row", "tau-rc-inf", "noise-std-inf",
+            "dt-inf", "tausyn-inf", "lr-inf"])
     def test_out_of_range_flag_exits_2_naming_it(self, argv, flag, capsys):
         files = {"infer": ["--model", "m.json", "--data", "d.csv"],
                  "trace": ["--model", "m.json", "--data", "d.csv"],

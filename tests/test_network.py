@@ -35,7 +35,7 @@ from strategies import copy_weights, dropout_networks, single_tower, weights_equ
 P = NeuronParams()
 ANY_NEURON_PARAMS = st.builds(NeuronParams, tau_ref=st.floats(0.0, 1.0),
                               tau_rc=st.floats(1e-300, 10.0), v_th=st.floats(1e-300, 1e300),
-                              gamma=st.floats(5e-324, 1e300))
+                              gamma=st.floats(1e-308, 1e300))  # 1 / gamma finite
 
 
 def minimal_spec(keep_prob=1.0):

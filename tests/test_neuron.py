@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikedrop import neuron
 from spikedrop.neuron import (
     NeuronParams,
     _softlif,
@@ -14,7 +15,8 @@ from spikedrop.neuron import (
     lif_step_arrays,
     softlif_rate,
 )
-from strategies import reference_softlif_rate, reference_softlif_rate_grad, reference_softplus
+from strategies import (reference_lif_rate, reference_softlif_parts, reference_softlif_rate,
+                        reference_softlif_rate_grad)
 
 P = NeuronParams()  # tau_ref=0.002, tau_rc=0.02, v_th=1, gamma=0.02
 
@@ -44,6 +46,7 @@ class TestNeuronParams:
         dict(v_th=float("nan")),
         dict(tau_ref=float("inf")),
         dict(gamma=float("inf")),
+        dict(gamma=1e-320),  # 1 / gamma overflows
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -158,13 +161,28 @@ class TestSoftlifRateGrad:
 
 # q = (J - v_th) / gamma in each branch of the formulas: q >= 0; the
 # sigmoid / softplus ratio for -30 < q < 0; its 1 / gamma limit below -30;
-# and below about -745, where exp(-|q|) underflows to 0
+# log1p(t) taken as t below -38; exp(-|q|) subnormal below about -708.4 and
+# exactly 0 below about -745.13
 Q_REGIONS = st.one_of(
     st.floats(0.0, 800.0),
     st.floats(-30.0, 0.0, exclude_max=True),
     st.floats(-745.0, -30.0, exclude_max=True),
+    st.floats(-40.0, -36.0),
+    st.floats(-746.0, -700.0),
     st.floats(-1e5, -745.2),
 )
+
+
+def assert_softlif_matches_reference(j, p, equal_nan=False):
+    """Every SoftLIF part, the gradient and lif_rate at currents ``j`` equal
+    the reference formulas bit for bit."""
+    rate, parts = _softlif(j, p)
+    want = reference_softlif_parts(j, p)
+    for got, ref in zip((rate, *parts), (want[3], *want)):
+        assert np.array_equal(got, ref, equal_nan=equal_nan)
+    assert np.array_equal(_softlif_grad(parts, p), reference_softlif_rate_grad(j, p),
+                          equal_nan=equal_nan)
+    assert np.array_equal(lif_rate(j, p), reference_lif_rate(j, p), equal_nan=equal_nan)
 
 
 class TestSoftlifBits:
@@ -175,18 +193,42 @@ class TestSoftlifBits:
            qs=st.lists(Q_REGIONS, min_size=1, max_size=40))
     @example(gamma=0.002, tau_ref=0.02, qs=[5.0, 0.0, -1e-9, -12.0, -30.0, -31.0, -400.0, -745.2, -5e4])
     @example(gamma=3.0, tau_ref=0.0, qs=[700.0, 1.5, -29.999, -30.001, -744.0, -746.0])
+    @example(gamma=0.002, tau_ref=0.002, qs=[700.0, -700.0, 708.4, -708.4, -745.13, -745.2,
+                                             746.0, -746.0, -38.0, -37.4, -36.7])
     def test_rate_and_grad_match_reference(self, gamma, tau_ref, qs):
         p = NeuronParams(tau_ref=tau_ref, gamma=gamma)
-        j = p.v_th + np.array(qs) * gamma
-        assert np.array_equal(softplus(j - p.v_th, gamma), reference_softplus(j - p.v_th, gamma))
-        assert np.array_equal(softlif_rate(j, p), reference_softlif_rate(j, p))
-        assert np.array_equal(softlif_grad(j, p), reference_softlif_rate_grad(j, p))
+        assert_softlif_matches_reference(p.v_th + np.array(qs) * gamma, p)
+
+    def test_nonfinite_currents_match_reference(self):
+        # the one comparison with equal_nan: a NaN current gives NaN parts
+        p = NeuronParams(gamma=0.002)
+        j = np.array([np.inf, -np.inf, np.nan, p.v_th, p.v_th - 746 * p.gamma])
+        assert_softlif_matches_reference(j, p, equal_nan=True)
 
     @pytest.mark.parametrize("current", [-1e4, -0.5, 0.99, 1.0, 1.01, 4.0])
     def test_scalars_match_reference(self, current):
         p = NeuronParams(gamma=0.002)
         assert softlif_rate(current, p) == reference_softlif_rate(current, p)
         assert softlif_grad(current, p) == reference_softlif_rate_grad(current, p)
+
+
+class TestNumpyFacts:
+    """The numpy behaviour that lets _softplus_parts skip exp and log1p on
+    some lanes and stay bit for bit: a numpy build that breaks one fails here."""
+
+    def test_exp_is_zero_below_exp_zero(self):
+        a = np.concatenate([np.linspace(neuron._EXP_ZERO - 100.0, neuron._EXP_ZERO, 1_000_001),
+                            [np.nextafter(neuron._EXP_ZERO, -np.inf), -1e300, -np.inf]])
+        assert np.all(np.exp(a) == 0.0)
+
+    def test_log1p_is_identity_below_log1p_is_t(self):
+        a = np.linspace(neuron._EXP_ZERO, neuron._LOG1P_IS_T, 1_000_001)
+        t = np.exp(a)
+        assert np.count_nonzero((t > 0) & (t < np.finfo(float).tiny)) > 1000  # subnormals
+        assert np.array_equal(np.log1p(t), t)
+
+    def test_tiny_is_below_every_log1p_argument_used(self):
+        assert 0.0 < neuron._TINY < np.exp(neuron._LOG1P_IS_T)
 
 
 def lif_step_one(voltage, refractory, current, dt=0.001):

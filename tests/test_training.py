@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spikedrop.neuron as neuron_mod
 import spikedrop.training as training_mod
 from spikedrop.data import Dataset, synth_combo
 from spikedrop.network import (
@@ -26,8 +27,8 @@ from spikedrop.training import (
     loss_mse,
     train,
 )
-from strategies import (copy_weights, dropout_networks, reference_softlif_rate_grad, single_tower,
-                        weights_equal)
+from strategies import (copy_weights, dropout_networks, reference_rate, reference_softlif_rate_grad,
+                        reference_softplus_parts, single_tower, weights_equal)
 
 P = NeuronParams()
 
@@ -394,3 +395,36 @@ class TestTrain:
                            eval_dataset=holdout)
         assert len(history) == 2
         assert all(np.isfinite(row[2]) for row in history)
+
+
+class TestSoftlifReference:
+    def test_training_on_the_reference_formulas_is_bitwise(self, monkeypatch):
+        """train gives the same weights and history, bit for bit, when the
+        SoftLIF helpers are swapped for the reference formulas, on currents
+        that reach every region of _softplus_parts."""
+        ds, holdout = synth_combo(200, 4, 4, seed=8), synth_combo(50, 4, 4, seed=9)
+        spec = combo_spec(4, 4, cell_hidden=8, drug_hidden=8, head_hidden=0, keep_prob=0.9)
+        params = NeuronParams(gamma=0.002)
+        cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=3e-3, seed=1)
+        qs, softplus_parts = [], neuron_mod._softplus_parts
+
+        def recording(x, gamma):
+            parts = softplus_parts(x, gamma)
+            qs.append(parts[0].ravel())
+            return parts
+
+        monkeypatch.setattr(neuron_mod, "_softplus_parts", recording)
+        w1, h1 = train(spec, ds, cfg, params, eval_dataset=holdout)
+        q = np.concatenate(qs)
+        # exp(-|q|) exactly 0, subnormal, log1p(t) == t near -38, the
+        # sigmoid / softplus ratio, and q >= 0
+        for lo, hi in [(-np.inf, neuron_mod._EXP_ZERO), (-745.13, -708.4),
+                       (neuron_mod._LOG1P_IS_T - 2, neuron_mod._LOG1P_IS_T + 2),
+                       (neuron_mod._LOG_TINY, 0.0), (0.0, np.inf)]:
+            assert np.any((lo <= q) & (q < hi)), (lo, hi)
+
+        monkeypatch.setattr(neuron_mod, "_softplus_parts", reference_softplus_parts)
+        monkeypatch.setattr(neuron_mod, "_rate", reference_rate)
+        w2, h2 = train(spec, ds, cfg, params, eval_dataset=holdout)
+        assert weights_equal(w1, w2)
+        assert np.array_equal(np.array(h1), np.array(h2))
