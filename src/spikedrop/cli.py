@@ -3,6 +3,13 @@
 Figure-style outputs are emitted as data files (CSV/JSON), never rendered
 images. Every command is deterministic given its flags and input files.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+A flag that sets a field of a config (``snn.SimConfig``,
+``neuron.NeuronParams`` or ``training.TrainConfig``) takes that field's type
+and default, and its only range rule is the config's own: ``main`` builds
+the subcommand's config once, before any work, and a refusal becomes the
+subcommand's usage error with each field named as its flag. The other
+flags' rules are argparse types here.
 """
 
 from __future__ import annotations
@@ -33,42 +40,46 @@ def _checked(kind, ok, rule):
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _KEEP_PROB = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
-_GAMMA = _checked(float, lambda v: 0 < v < math.inf and 1 / v < math.inf,
-                  "finite and > 0 with a finite reciprocal")
 
 
-# each simulation flag's dest, also its meta key, and the SimConfig field it sets
+# each config-backed flag's dest (a simulation flag's is also its meta key) and the field it sets
 _SIM_FIELDS = {"dt": "dt", "steps": "n_steps", "burnin": "burn_in_steps", "tausyn": "tau_syn",
                "v0_seed": "v0_seed"}
+_NEURON_FIELDS = {"tau_ref": "tau_ref", "tau_rc": "tau_rc", "v_th": "v_th", "gamma": "gamma"}
+_TRAIN_FIELDS = {"epochs": "epochs", "batch": "batch_size", "lr": "learning_rate", "seed": "seed"}
+_SIM_HELP = {"dt": "tick length in seconds", "steps": "number of ticks",
+             "burnin": "ticks discarded before averaging the output potential",
+             "tausyn": "synaptic lowpass time constant in seconds",
+             "v0_seed": "seed for heterogeneous initial voltages (0 = all-zero start)"}
 
 
-def _sim_from_args(args) -> snn.SimConfig:
+def _add_config_flags(parser, config, fields, **helps):
+    """Add a flag for each ``fields`` entry (dest -> field of the dataclass
+    ``config``), typed and defaulted as that field. The config's own checks
+    are the flags' only rule; main builds it with ``_config_from_args``."""
+    for dest, name in fields.items():
+        field = config.__dataclass_fields__[name]
+        parser.add_argument("--" + dest.replace("_", "-"), default=field.default,
+                            type=int if field.type in ("int", int) else float, help=helps.get(dest))
+    parser.set_defaults(config_fields=(config, fields), parser=parser)
+
+
+def _config_from_args(args):
+    """The subcommand's config, built from its flags. A refusal is the
+    subcommand's usage error (exit 2), with each field named as its flag."""
+    config, fields = args.config_fields
     try:
-        return snn.SimConfig(**{field: getattr(args, dest) for dest, field in _SIM_FIELDS.items()})
-    except ValueError as exc:  # the subcommand's usage error, naming the flags
-        flags = {field: "--" + dest.replace("_", "-") for dest, field in _SIM_FIELDS.items()}
-        args.sim_parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
+        return config(**{field: getattr(args, dest) for dest, field in fields.items()})
+    except ValueError as exc:
+        flags = {field: "--" + dest.replace("_", "-") for dest, field in fields.items()}
+        args.parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
 
 
 def _sim_meta(sim: snn.SimConfig) -> dict:
     return {dest: getattr(sim, field) for dest, field in _SIM_FIELDS.items()}
-
-
-def _add_sim_flags(parser):
-    sim = snn.SimConfig  # each flag defaults to its config field's default
-    parser.add_argument("--dt", type=_POSITIVE_FLOAT, default=sim.dt, help="tick length in seconds")
-    parser.add_argument("--steps", type=_POSITIVE_INT, default=sim.n_steps, help="number of ticks")
-    parser.add_argument("--burnin", type=_NONNEGATIVE_INT, default=sim.burn_in_steps,
-                        help="ticks discarded before averaging the output potential")
-    parser.add_argument("--tausyn", type=_NONNEGATIVE_FLOAT, default=sim.tau_syn,
-                        help="synaptic lowpass time constant in seconds")
-    parser.add_argument("--v0-seed", type=_NONNEGATIVE_INT, default=sim.v0_seed,
-                        help="seed for heterogeneous initial voltages (0 = all-zero start)")
-    parser.set_defaults(sim_parser=parser)  # main builds args.sim, refusing through it
 
 
 def cmd_synth(args) -> int:
@@ -86,9 +97,7 @@ def cmd_init_spec(args) -> int:
                               drug_hidden=args.drug_hidden,
                               head_hidden=args.head_hidden,
                               keep_prob=args.keep_prob)
-    params = NeuronParams(tau_ref=args.tau_ref, tau_rc=args.tau_rc,
-                          v_th=args.v_th, gamma=args.gamma)
-    network.save_config(args.out, spec, params)
+    network.save_config(args.out, spec, args.config)
     print(f"wrote network config to {args.out}")
     return 0
 
@@ -102,9 +111,7 @@ def cmd_train(args) -> int:
         empty = "training" if not len(train_ds) else "test"
         raise ValueError(f"{args.data} has {len(dataset)} rows: --test-fraction "
                          f"{args.test_fraction} leaves the {empty} part empty")
-    cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                               learning_rate=args.lr, seed=args.seed)
-    weights, history = training.train(spec, train_ds, cfg, params,
+    weights, history = training.train(spec, train_ds, args.config, params,
                                       eval_dataset=test_ds)
     network.save_model(args.out, spec, weights, params)
     history_path = args.history or args.out + ".history.csv"
@@ -131,7 +138,7 @@ def cmd_infer(args) -> int:
     dataset = _load_data(args, model.spec, f"model {args.model}")
     n_obs = len(dataset)
     sample_sets = mcinfer.predictive_distributions(model, dataset.features, args.draws,
-                                                   args.seed, args.backend, args.sim)
+                                                   args.seed, args.backend, args.config)
 
     meta = {
         "backend": args.backend,
@@ -142,7 +149,7 @@ def cmd_infer(args) -> int:
                      "draw k uses mask seed base_seed + k",
     }
     if args.backend == "spiking":
-        meta.update(_sim_meta(args.sim))
+        meta.update(_sim_meta(args.config))
     mcinfer.write_samples(args.out, sample_sets, meta)
     print(f"wrote {n_obs * args.draws} draws to {args.out}")
     return 0
@@ -158,15 +165,16 @@ def cmd_trace(args) -> int:
     masks = None if args.mask_seed is None else network.sample_masks(model.spec, args.mask_seed)
     analog_out, _ = network.forward(model.spec, model.weights, observation,
                                     masks, model.neuron_params)
-    trace = snn.simulate(model, observation, masks, args.sim)
+    sim = args.config
+    trace = snn.simulate(model, observation, masks, sim)
     meta = {
         "row": args.row,
         "mask_seed": "none" if args.mask_seed is None else args.mask_seed,
         "dnn_output": repr(float(analog_out[0])),
-        "post_burn_in_mean": repr(float(snn.summarize_trace(trace, args.sim.burn_in_steps))),
-        **_sim_meta(args.sim),
+        "post_burn_in_mean": repr(float(snn.summarize_trace(trace, sim.burn_in_steps))),
+        **_sim_meta(sim),
     }
-    snn.write_trace(args.out, trace, args.sim.dt, meta)
+    snn.write_trace(args.out, trace, sim.dt, meta)
     print(f"wrote {len(trace)} ticks to {args.out}")
     return 0
 
@@ -249,10 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-hidden", type=_NONNEGATIVE_INT, default=32,
                    help="hidden head width; 0 = affine readout directly on the towers")
     p.add_argument("--keep-prob", type=_KEEP_PROB, default=0.9)
-    p.add_argument("--tau-ref", type=_NONNEGATIVE_FLOAT, default=NeuronParams.tau_ref)
-    p.add_argument("--tau-rc", type=_POSITIVE_FLOAT, default=NeuronParams.tau_rc)
-    p.add_argument("--v-th", type=_POSITIVE_FLOAT, default=NeuronParams.v_th)
-    p.add_argument("--gamma", type=_GAMMA, default=NeuronParams.gamma)
+    _add_config_flags(p, NeuronParams, _NEURON_FIELDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init_spec)
 
@@ -261,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--target", default="target")
-    p.add_argument("--epochs", type=_POSITIVE_INT, default=150)
-    p.add_argument("--batch", type=_POSITIVE_INT, default=32)
-    p.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-3)
-    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
+    _add_config_flags(p, training.TrainConfig, _TRAIN_FIELDS)
     p.add_argument("--test-fraction", type=_FRACTION, default=0.2)
     p.add_argument("--history", default=None,
                    help="loss history CSV (default: <out>.history.csv)")
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=_POSITIVE_INT, default=100)
     p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
-    _add_sim_flags(p)
+    _add_config_flags(p, snn.SimConfig, _SIM_FIELDS, **_SIM_HELP)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("trace", help="dump one spiking simulation's output potential")
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-seed", type=_NONNEGATIVE_INT, default=None,
                    help="dropout mask seed (omit for a mask-free run)")
     p.add_argument("--out", required=True)
-    _add_sim_flags(p)
+    _add_config_flags(p, snn.SimConfig, _SIM_FIELDS, **_SIM_HELP)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compare", help="KS-compare two samples files")
@@ -303,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "sim_parser" in vars(args):
-        args.sim = _sim_from_args(args)
+    if "config_fields" in vars(args):
+        args.config = _config_from_args(args)
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure -> exit 1 with a diagnostic

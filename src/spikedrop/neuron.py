@@ -123,9 +123,15 @@ def _softplus_parts(x, gamma: float):
       lifts only the arguments whose results are not used, 0 and the
       subnormals, off its slow path.
 
-    A NaN ``q`` stays NaN in every output.
+    A NaN ``q`` stays NaN in every output. A ``gamma`` so small that a
+    finite ``x / gamma`` overflows is refused: that lane would get the
+    ``1 / tau_ref`` ceiling rate whatever the current.
     """
-    q = x / gamma
+    try:
+        with np.errstate(over="raise"):
+            q = x / gamma
+    except FloatingPointError:
+        raise ValueError(f"gamma {gamma!r} is too small: (J - v_th) / gamma overflows") from None
     a = -np.abs(q)
     dead = a < _EXP_ZERO  # False on NaN, which exp passes on
     t = np.where(dead, 0.0, np.exp(np.where(dead, 0.0, a)))

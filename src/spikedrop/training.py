@@ -44,7 +44,7 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 100
+    epochs: int = 150
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from spikedrop.cli import _sim_from_args, build_parser, main
+from spikedrop.cli import _config_from_args, build_parser, main
 from spikedrop.data import load_csv
 from spikedrop.mcinfer import predictive_distribution, read_samples
 from spikedrop.network import (LayerSpec, combo_spec, init_weights, load_model, sample_masks,
                                save_config, save_model)
 from spikedrop.neuron import NeuronParams
 from spikedrop.snn import SimConfig, simulate, summarize_trace
+from spikedrop.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +64,12 @@ class TestInitSpec:
     def test_flag_defaults_are_the_config_defaults(self, tmp_path):
         parser = build_parser()
         args = parser.parse_args(["infer", "--model", "m", "--data", "d", "--out", "o"])
-        assert _sim_from_args(args) == SimConfig()
+        assert _config_from_args(args) == SimConfig()
         args = parser.parse_args(["init-spec", "--out", "o"])
         assert NeuronParams(tau_ref=args.tau_ref, tau_rc=args.tau_rc, v_th=args.v_th,
                             gamma=args.gamma) == NeuronParams()
+        args = parser.parse_args(["train", "--spec", "s", "--data", "d", "--out", "o"])
+        assert _config_from_args(args) == TrainConfig()
         out, lib = tmp_path / "cli.json", tmp_path / "lib.json"
         assert main(["init-spec", "--out", str(out)]) == 0
         save_config(lib, combo_spec(8, 8), NeuronParams())
@@ -211,6 +214,23 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["config", "model"])
+    def test_gamma_whose_quotient_overflows_is_runtime_error(self, tmp_path, workspace, capsys,
+                                                              kind):
+        # 1 / 1e-308 is finite, but (J - v_th) / gamma overflows once J - v_th
+        # exceeds 1.797, where SoftLIF would give 1 / tau_ref whatever the current
+        _, data, config, model = workspace
+        doc = json.loads((config if kind == "config" else model).read_text())
+        doc["neuron_params"]["gamma"] = 1e-308
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        argv = (["train", "--spec", str(tiny), "--epochs", "1", "--out", str(out)]
+                if kind == "config" else ["infer", "--model", str(tiny), "--out", str(out)])
+        assert main(argv + ["--data", str(data)]) == 1
+        assert "error: gamma 1e-308 is too small" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tiny]  # no output, no training history
+
     def test_config_neuron_fields_default_when_omitted(self, tmp_path, workspace):
         _, data, config, _ = workspace
         doc = json.loads(config.read_text())
@@ -279,6 +299,55 @@ class TestUsageErrors:
         (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
         assert line.startswith(f"spikedrop {argv[0]}: error: ")
         assert flag in line
+
+    # each config-backed flag: its subcommand, config, field, and a value that config accepts
+    CONFIG_FLAGS = [
+        ("infer", SimConfig, "--dt", "dt", "0.0005"),
+        ("infer", SimConfig, "--steps", "n_steps", "350"),
+        ("infer", SimConfig, "--burnin", "burn_in_steps", "100"),
+        ("infer", SimConfig, "--tausyn", "tau_syn", "0.01"),
+        ("infer", SimConfig, "--v0-seed", "v0_seed", "7"),
+        ("init-spec", NeuronParams, "--tau-ref", "tau_ref", "0.02"),
+        ("init-spec", NeuronParams, "--tau-rc", "tau_rc", "0.05"),
+        ("init-spec", NeuronParams, "--v-th", "v_th", "1.5"),
+        ("init-spec", NeuronParams, "--gamma", "gamma", "0.002"),
+        ("train", TrainConfig, "--epochs", "epochs", "3"),
+        ("train", TrainConfig, "--batch", "batch_size", "16"),
+        ("train", TrainConfig, "--lr", "learning_rate", "0.01"),
+        ("train", TrainConfig, "--seed", "seed", "5"),
+    ]
+
+    @pytest.mark.parametrize("command, config, flag, field, kind, value", [
+        (command, config, flag, field, kind, value)
+        for command, config, flag, field, typical in CONFIG_FLAGS
+        for kind in [int if config.__dataclass_fields__[field].type == "int" else float]
+        for value in ["0", "-1", typical, str(2**40)]
+        + ([] if kind is int else ["1e-320", "inf", "nan"])
+    ])
+    def test_config_is_its_flags_only_rule(self, tmp_path, capsys, command, config, flag, field,
+                                           kind, value):
+        # the flag is refused (exit 2, naming it) exactly when its config refuses
+        # the value; otherwise main goes on to the work, which fails for want of
+        # the input files (exit 1): nothing in the CLI holds a rule of its own
+        try:
+            config(**{field: kind(value)})
+        except ValueError:
+            refused = True
+        else:
+            refused = False
+        files = {"infer": ["--model", str(tmp_path / "m.json"), "--data", "d.csv"],
+                 "train": ["--spec", str(tmp_path / "s.json"), "--data", "d.csv"],
+                 "init-spec": []}[command]
+        argv = [command, flag, value, *files, "--out", str(tmp_path / "no" / "o")]
+        if refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+            assert line.startswith(f"spikedrop {command}: error: ") and flag in line
+        else:
+            assert main(argv) == 1
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestDataWidth:

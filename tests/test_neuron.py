@@ -109,6 +109,14 @@ class TestSoftlifRate:
         p = NeuronParams(gamma=0.1)
         assert softlif_rate(1.0, p) > 0.0
 
+    def test_gamma_whose_quotient_overflows_is_refused(self):
+        # 1 / 1e-308 is finite, but 1.8 / 1e-308 overflows: that lane would get
+        # the 1 / tau_ref ceiling (500 Hz) instead of lif_rate's 92.3 Hz
+        p = NeuronParams(gamma=1e-308)
+        assert softlif_rate(2.7, p) == lif_rate(2.7, p)
+        with pytest.raises(ValueError, match=r"^gamma 1e-308 is too small"):
+            _softlif(np.array([1.5, 2.8]), p)
+
     def test_vanishes_for_very_negative_current(self):
         assert softlif_rate(-1e4, P) == 0.0
 
